@@ -137,11 +137,7 @@ def _parse_poly(text: str) -> IntPolynomial:
 
 def cmd_analyze(args) -> int:
     g, echo = _load_graph(args.file)
-    caps = Caps(
-        word_len=args.cap_words,
-        saturation_steps=args.cap_saturation,
-        budget=args.budget,
-    )
+    caps = Caps(word_len=args.cap_words, saturation_steps=args.cap_saturation)
     report = analyze(g, caps, input_echo=echo)
     if args.json:
         sys.stdout.write(_dump_json(report.to_json_dict()))
@@ -242,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="word length cap for the modular no-detector (default 6)")
     pa.add_argument("--cap-saturation", type=int, default=64, metavar="N",
                     help="step cap for the lattice saturation yes-detector (default 64)")
-    pa.add_argument("--budget", type=int, default=50, metavar="N",
-                    help="search budget for quotient oracles (default 50)")
     pa.add_argument("--strict", action="store_true",
                     help="exit 1 when any verdict is unknown")
     pa.set_defaults(func=cmd_analyze)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import IntMatrix, IntPolynomial, Lattice, RatMatrix, kernel, snf
+from .exact import IntMatrix, IntPolynomial, Lattice, int_inverse_unimodular, kernel, snf
 from .poly import DegeneracyResult, Factorization, degeneracy_test, factor_over_Q
 
 
@@ -109,15 +109,14 @@ def _complement_columns(lat: Lattice) -> tuple[IntMatrix, IntMatrix]:
     s, u, v = snf(b)
     if any(s.rows[i][i] != 1 for i in range(k)):
         raise ValueError("lattice is not saturated")
-    uinv = RatMatrix(u).inverse().to_int()
+    uinv = int_inverse_unimodular(u)
     # B = U^-1 S V^-1: the first k columns of U^-1 span the same saturated
     # lattice; splice B itself in so the chain lattices appear verbatim.
     cols = list(b.columns()) + [uinv.column(j) for j in range(k, n)]
     p = IntMatrix.from_columns(cols, n)
     if abs(p.det()) != 1:
         raise ArithmeticError("complement construction failed")
-    pinv = RatMatrix(p).inverse().to_int()
-    return p, pinv
+    return p, int_inverse_unimodular(p)
 
 
 def _quotient_matrix(phi: IntMatrix, lat: Lattice) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -250,15 +249,3 @@ def css_decide(h: AscendingHNN) -> CssVerdict:
         tuple(witnesses),
     )
 
-
-def n2_shortcut(h: AscendingHNN) -> bool:
-    """Rank-2 cross-check: separable iff there is no integer eigenvalue of
-    absolute value > 1 and the trace is coprime to d."""
-    if h.n != 2:
-        raise ValueError("shortcut applies to n = 2 only")
-    cp = h.phi.charpoly()
-    from .poly import integer_roots
-
-    if any(abs(r) > 1 for r in integer_roots(cp)):
-        return False
-    return math.gcd(h.phi.trace(), h.d) == 1

@@ -196,10 +196,6 @@ class IntPolynomial:
             c.pop()
         self.coeffs = tuple(c)
 
-    @classmethod
-    def x_minus(cls, r: int) -> "IntPolynomial":
-        return cls((-r, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -10,7 +10,6 @@ extension, or general.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .exact import IntMatrix, int_inverse_unimodular
 
@@ -180,7 +179,7 @@ def classify(g_reduced: LabeledGraphOfGroups, collapse_log: tuple[CollapseStep, 
 
 
 # ---------------------------------------------------------------------------
-# spanning trees and cycle ratios
+# spanning trees
 
 
 @dataclass(frozen=True)
@@ -217,28 +216,3 @@ def spanning_tree(g: LabeledGraphOfGroups) -> SpanningTree:
     nontree = tuple(e for e in edges_sorted if e.id not in tree_ids)
     return SpanningTree(base, parent, frozenset(tree_ids), nontree)
 
-
-def _ratio_to_base(tree: SpanningTree, v: str) -> Fraction:
-    """Product of label_to/label_from along the tree path base -> v."""
-    out = Fraction(1)
-    while v != tree.base:
-        e, forward = tree.parent[v]
-        step = Fraction(e.label_to, e.label_from)
-        out *= step if forward else 1 / step
-        v = e.src if forward else e.dst
-    return out
-
-
-def cycle_ratios(g: LabeledGraphOfGroups) -> tuple[Fraction, ...]:
-    """One label ratio per fundamental cycle (non-tree edge, in id order).
-
-    The cycle runs base -> iota(e) through the tree, across e, then
-    tau(e) -> base; the ratio multiplies label_to/label_from along it.
-    """
-    require_valid(g)
-    tree = spanning_tree(g)
-    out = []
-    for e in tree.nontree_edges:
-        r = _ratio_to_base(tree, e.src) * Fraction(e.label_to, e.label_from) / _ratio_to_base(tree, e.dst)
-        out.append(r)
-    return tuple(out)

@@ -26,7 +26,6 @@ class Caps:
     word_len: int = 6
     saturation_steps: int = 64
     max_index: int = 10 ** 9
-    budget: int = 50  # used by the quotient-search oracle, carried here for the CLI
 
 
 @dataclass(frozen=True)

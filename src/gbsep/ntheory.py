@@ -5,11 +5,16 @@ from __future__ import annotations
 
 import math
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes: as Miller-Rabin bases they are decisive for every
+# n < psi_13 = 3317044064679887385961981 ~ 3.3 * 10**24 (Sorenson-Webster,
+# Strong pseudoprimes to twelve prime bases, Math. Comp. 2017); the first 12
+# are not (psi_12 = 318665857834031151167461 is a strong pseudoprime to them)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for all 64-bit-and-beyond desk inputs)."""
+    """Miller-Rabin to the bases _SMALL_PRIMES: exact below psi_13, a strong
+    probable-prime test above it."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -20,8 +25,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # these witnesses are known to be decisive for n < 3.3 * 10**24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

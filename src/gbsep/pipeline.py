@@ -52,7 +52,6 @@ class Report:
                 "word_len": self.caps.word_len,
                 "saturation_steps": self.caps.saturation_steps,
                 "max_index": self.caps.max_index,
-                "budget": self.caps.budget,
             },
             "classification": _classification_json(self.classification),
             "verdicts": {

@@ -1,10 +1,10 @@
 """Monic integer polynomial factorization over Q and the mod-p degeneracy test.
 
-Factorization strategy: strip integer roots by the rational-root theorem,
-split off squarefree parts (Yun), finish small degrees by direct bounded
-coefficient search and degrees 5..12 by factoring mod a good prime,
-Hensel-lifting past the Landau-Mignotte bound, and recombining subsets.
-Degrees above 12 are rejected, never answered wrongly.
+Factorization strategy: split off squarefree parts (Yun), then factor each
+part, whatever its degree, by one route: factor it modulo a good prime,
+Hensel-lift past the Landau-Mignotte bound, and recombine subsets of the
+lifted factors (linear factors come out like any other). Degrees above 12
+are rejected, never answered wrongly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import IntPolynomial
-from .ntheory import prime_divisors, primes_upto
+from .ntheory import is_prime, prime_divisors
 
 MAX_DEGREE = 12
 
@@ -141,32 +141,6 @@ def squarefree_decomposition(f: IntPolynomial) -> list[tuple[IntPolynomial, int]
             out.append((a, i))
         i += 1
     return out
-
-
-# ---------------------------------------------------------------------------
-# integer roots
-
-
-def integer_roots(f: IntPolynomial) -> tuple[int, ...]:
-    """All integer roots with multiplicity, ascending (monic input)."""
-    if f.is_zero or not f.is_monic:
-        raise ValueError("integer_roots expects a monic nonzero polynomial")
-    roots: list[int] = []
-    work = f
-    while work.degree > 0 and work.constant == 0:
-        roots.append(0)
-        work = _exact_div(work, IntPolynomial((0, 1)))
-    candidates = set()
-    c0 = abs(work.constant)
-    if work.degree > 0 and c0:
-        for d in range(1, math.isqrt(c0) + 1):
-            if c0 % d == 0:
-                candidates.update((d, -d, c0 // d, -(c0 // d)))
-    for r in sorted(candidates, key=abs):
-        while work.degree > 0 and work(r) == 0:
-            roots.append(r)
-            work = _exact_div(work, IntPolynomial.x_minus(r))
-    return tuple(sorted(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -357,72 +331,16 @@ def _mignotte_bound(f: IntPolynomial) -> int:
 # irreducible factorization of squarefree monic polynomials
 
 
-def _factor_squarefree(f: IntPolynomial) -> list[IntPolynomial]:
-    if f.degree <= 1:
-        return [f] if f.degree == 1 else []
-    out: list[IntPolynomial] = []
-    work = f
-    for r in integer_roots(f):
-        out.append(IntPolynomial.x_minus(r))
-        work = _exact_div(work, IntPolynomial.x_minus(r))
-    if work.degree <= 0:
-        return out
-    if work.degree <= 3:
-        # monic with no integer root: no linear factor, so irreducible
-        out.append(work)
-        return out
-    if work.degree == 4:
-        out.extend(_factor_quartic(work))
-        return out
-    out.extend(_factor_zassenhaus(work))
-    return out
-
-
-def _divisor_pairs(c: int):
-    for d in range(1, math.isqrt(abs(c)) + 1):
-        if c % d == 0:
-            e = c // d
-            yield d, e
-            yield -d, -e
-            if d != abs(e):
-                yield e, d
-                yield -e, -d
-
-
-def _factor_quartic(f: IntPolynomial) -> list[IntPolynomial]:
-    """Rootless monic quartic: either irreducible or a product of two quadratics."""
-    c0, c1, c2, c3, _ = f.coeffs
-    for b, d in _divisor_pairs(c0):
-        # (x^2+ax+b)(x^2+cx+d): a+c = c3, ac = c2-b-d, ad+bc = c1
-        s = c3
-        prod = c2 - b - d
-        disc = s * s - 4 * prod
-        if disc < 0:
-            continue
-        root = math.isqrt(disc)
-        if root * root != disc:
-            continue
-        for a in {(s + root) // 2, (s - root) // 2}:
-            c = s - a
-            if a + c == s and a * c == prod and a * d + b * c == c1:
-                g = IntPolynomial((b, a, 1))
-                h = IntPolynomial((d, c, 1))
-                return sorted([g, h], key=IntPolynomial.sort_key)
-    return [f]
-
-
 def _factor_zassenhaus(f: IntPolynomial) -> list[IntPolynomial]:
+    """Irreducible factors of a squarefree monic f of degree >= 1."""
+    # f is monic, so f mod p keeps its degree; f mod p is squarefree unless p
+    # divides disc(f) != 0, so the walk over odd primes ends within
+    # log2|disc(f)| failures.
     deriv = f.derivative()
-    p = None
-    for candidate in primes_upto(500)[1:]:  # odd primes
-        fp = [c % candidate for c in f.coeffs]
-        if len(_gf_trim(fp[:])) - 1 != f.degree:
-            continue
-        if len(_gf_gcd(fp, [c % candidate for c in deriv.coeffs], candidate)) == 1:
-            p = candidate
-            break
-    if p is None:
-        raise ArithmeticError("no suitable prime for factorization")
+    p = next(
+        p for p in itertools.count(3, 2)
+        if is_prime(p) and len(_gf_gcd([c % p for c in f.coeffs], [c % p for c in deriv.coeffs], p)) == 1
+    )
     parts = sorted(_gf_factor_squarefree([c % p for c in f.coeffs], p))
     if len(parts) == 1:
         return [f]
@@ -466,13 +384,23 @@ def factor_over_Q(f: IntPolynomial) -> Factorization:
         raise UnsupportedDegreeError(f"degree {f.degree} exceeds supported {MAX_DEGREE}")
     counts: dict[IntPolynomial, int] = {}
     for part, mult in squarefree_decomposition(f):
-        for irr in _factor_squarefree(part):
+        for irr in _factor_zassenhaus(part):
             counts[irr] = counts.get(irr, 0) + mult
     factors = tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key()))
     fact = Factorization(factors)
     if fact.product() != f:
         raise ArithmeticError("factorization failed to reconstruct the input")
     return fact
+
+
+def integer_roots(f: IntPolynomial) -> tuple[int, ...]:
+    """All integer roots with multiplicity, ascending (monic input): the
+    linear factors of factor_over_Q."""
+    roots: list[int] = []
+    for g, mult in factor_over_Q(f):
+        if g.degree == 1:
+            roots.extend([-g.constant] * mult)
+    return tuple(sorted(roots))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .css import AscendingHNN, InvariantChain, invariant_chain
@@ -24,6 +23,7 @@ from .exact import (
     IntMatrix,
     Lattice,
     QuotientStructure,
+    RatMatrix,
     _mat_mod,
     _mat_pow_mod,
     image,
@@ -62,24 +62,12 @@ class NormalFormElement:
 
 
 def preimage_point(phi: IntMatrix, v) -> tuple[int, ...] | None:
-    """The integer solution x of phi x = v, or None."""
-    n = phi.n
-    a = [[Fraction(phi.rows[r][c]) for c in range(n)] + [Fraction(v[r])] for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    xs = [a[r][n] for r in range(n)]
-    if any(x.denominator != 1 for x in xs):
+    """The integer solution x of phi x = v (phi nonsingular), or None."""
+    inv = RatMatrix(phi).inverse()
+    x = inv.num.apply(v)
+    if any(c % inv.den for c in x):
         return None
-    return tuple(int(x) for x in xs)
+    return tuple(c // inv.den for c in x)
 
 
 def normal_form(phi: IntMatrix, i: int, a, j: int) -> NormalFormElement:

@@ -5,15 +5,15 @@ import math
 import random
 import time
 
-from gbsep.css import AscendingHNN, css_decide, invariant_chain, n2_shortcut
+from gbsep.css import AscendingHNN, css_decide, invariant_chain
 from gbsep.exact import IntMatrix, IntPolynomial, Lattice, hnf, image, snf
-from gbsep.gog import cycle_ratios
 from gbsep.modular import RatMatrix, conjugate_into_GLnZ, modular_generators
 from gbsep.pipeline import analyze
 from gbsep.poly import factor_over_Q
 from gbsep.quotient import coprime_quotient, k_subgroup, make_quotient, separate_in_A
 
 from conftest import C1, C2, C3, C4, C5, ascending_graph, corpus_graphs, rank1_loop
+from oracles import cycle_ratios, n2_shortcut
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

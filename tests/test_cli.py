@@ -71,6 +71,7 @@ def test_analyze_json_g1(inputs):
     eigen = doc["details"]["cyclic_subgroup_separable"]["witness"]["eigen"]
     assert eigen == {"lambda": -2, "vector": [1, -2]}
     assert doc["char_poly"] == [2, 3, 1]
+    assert doc["caps"] == {"max_index": 10 ** 9, "saturation_steps": 64, "word_len": 6}
 
 
 def test_analyze_non_residually_finite(inputs):

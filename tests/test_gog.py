@@ -10,12 +10,12 @@ from gbsep.gog import (
     GraphValidationError,
     LabeledGraphOfGroups,
     classify,
-    cycle_ratios,
     reduce,
     validate,
 )
 
 from conftest import C2, C3, loop_graph, rank1_loop
+from oracles import cycle_ratios
 
 
 I2 = IntMatrix.identity(2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gbsep.exact import IntMatrix, RatMatrix
-from gbsep.gog import cycle_ratios, spanning_tree
+from gbsep.gog import spanning_tree
 from gbsep.modular import (
     Caps,
     conjugate_into_GLnZ,
@@ -13,6 +13,7 @@ from gbsep.modular import (
 )
 
 from conftest import C3, ascending_graph, rank1_loop
+from oracles import cycle_ratios
 
 
 def test_generators_examples(corpus):

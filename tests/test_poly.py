@@ -125,6 +125,50 @@ def test_factorization_higher_degrees():
     assert [f.coeffs for f in fa.distinct()] == [(-1, 1), (1, 1), (1, -1, 1), (1, 1, 1)]
 
 
+def _sympy_factors(f):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    _, pairs = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), x))
+    return sorted((tuple(int(c) for c in reversed(g.all_coeffs())), m) for g, m in pairs)
+
+
+def test_factorization_matches_sympy():
+    """Random products of linear factors, rootless cubics, quartics that
+    split into two quadratics and random quartics, with constant terms up
+    to 10^15."""
+    rng = random.Random(2024)
+
+    def big():
+        return rng.choice((-1, 1)) * rng.randint(0, 10 ** rng.randint(1, 15))
+
+    def linear():
+        return IntPolynomial((big(), 1))
+
+    def cubic():
+        while True:
+            g = IntPolynomial((big(), rng.randint(-50, 50), rng.randint(-50, 50), 1))
+            if not integer_roots(g):
+                return g
+
+    def split_quartic():
+        return IntPolynomial((big(), rng.randint(-9, 9), 1)) * IntPolynomial((big(), rng.randint(-9, 9), 1))
+
+    def quartic():
+        return IntPolynomial((big(), rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(-50, 50), 1))
+
+    makers = (linear, linear, cubic, split_quartic, quartic)
+    for _ in range(150):
+        f = IntPolynomial((1,))
+        target = rng.randint(1, 12)
+        while f.degree < target:
+            g = rng.choice(makers)() ** rng.choice((1, 1, 2))
+            if f.degree + g.degree <= 12:
+                f = f * g
+        fa = factor_over_Q(f)
+        assert fa.product() == f
+        assert sorted((g.coeffs, m) for g, m in fa) == _sympy_factors(f), f.coeffs
+
+
 def test_squarefree_decomposition():
     f = poly(1, 1) ** 3 * poly(2, 0, 1) ** 2 * poly(-3, 1)
     parts = squarefree_decomposition(f)

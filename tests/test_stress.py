@@ -1,8 +1,11 @@
 """Stress cases for the exact kernel and the factorization engine: entry
 swell, adversarial polynomials, and order minimality at larger moduli."""
 
+import json
 import math
 import random
+import subprocess
+import sys
 
 from gbsep.exact import (
     IntMatrix,
@@ -13,8 +16,11 @@ from gbsep.exact import (
     mod_m_order,
     snf,
 )
-from gbsep.ntheory import factorize
+from gbsep.ntheory import factorize, is_prime, primes_upto
 from gbsep.poly import factor_over_Q
+
+# psi_12: the least strong pseudoprime to the twelve prime bases 2..37
+PSI12 = 318665857834031151167461
 
 
 def test_normal_forms_with_large_entries():
@@ -83,3 +89,44 @@ def test_mod_m_order_minimality_larger_moduli():
         for p in factorize(r):
             assert _mat_pow_mod(rows, r // p, mod) != ident
     assert checked > 20
+
+
+def _cli(argv, seconds):
+    """Run the CLI in a child process; a hang fails the test (TimeoutExpired)
+    instead of stalling the suite."""
+    proc = subprocess.run([sys.executable, "-m", "gbsep.cli", *argv],
+                          capture_output=True, text=True, timeout=seconds)
+    return proc.returncode, proc.stdout
+
+
+def test_huge_constant_terms_answer_fast(tmp_path):
+    # the characteristic polynomial x^2 - (a+1) x + (a-1) has constant a-1;
+    # no step may cost time polynomial in a rather than in its bit size
+    for a in (10 ** 14, 10 ** 400):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"rank": 2, "ascending_hnn": [[a, 1], [1, 1]]}))
+        code, out = _cli(["analyze", str(path), "--json"], 5)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["char_poly"] == [a - 1, -(a + 1), 1]
+        assert doc["verdicts"]["residually_finite"] == "yes"
+
+
+def test_strong_pseudoprime_psi12_is_split():
+    assert not is_prime(PSI12)
+    assert factorize(PSI12) == {399165290221: 1, 798330580441: 1}
+    code, out = _cli(["factor", f"[{PSI12},{PSI12},1]", "--json"], 10)
+    assert code == 0
+    (row,) = json.loads(out)["factors"]
+    assert row["degeneracy_gcd"] == PSI12
+    assert row["degenerate_primes"] == [399165290221, 798330580441]
+
+
+def test_good_prime_search_is_unbounded():
+    # x^2 - (product of the odd primes below 500) is not squarefree modulo
+    # any of those primes, so the first good prime is 503
+    c = math.prod(primes_upto(500)[1:])
+    f = IntPolynomial((-c, 0, 1))
+    assert factor_over_Q(f).factors == ((f, 1),)
+    g = IntPolynomial((-c * c, 0, 1))
+    assert factor_over_Q(g).factors == ((IntPolynomial((-c, 1)), 1), (IntPolynomial((c, 1)), 1))
