@@ -166,6 +166,8 @@ def cmd_factor(args) -> int:
                 "degenerate_primes": list(row.primes),
                 "all_primes_degenerate": row.all_primes,
             })
+            if row.unfactored > 1:
+                rows[-1]["unfactored_cofactor"] = row.unfactored
         sys.stdout.write(_dump_json({
             "input": list(p.coeffs),
             "factors": rows,
@@ -179,8 +181,12 @@ def cmd_factor(args) -> int:
                 detail = "gcd 0, degenerate at every prime"
             elif row.primes:
                 detail = f"gcd {row.gcd}, primes {{{', '.join(map(str, row.primes))}}}"
-            else:
+            elif row.unfactored == 1:
                 detail = f"gcd {row.gcd}, non-degenerate"
+            else:
+                detail = f"gcd {row.gcd}"
+            if row.unfactored > 1:
+                detail += f", unfactored {row.unfactored}"
             sys.stdout.write(f"factor: {row.factor.to_text()}{mult} ({detail})\n")
         sys.stdout.write(f"criterion: {'pass' if deg.separable else 'fail'}\n")
     return 0

@@ -75,18 +75,23 @@ class EigenWitness:
 
 @dataclass(frozen=True)
 class NonSeparableWitness:
-    """a in A_i - A_{i-1} for a degenerate step factor: <p*a> is not separable."""
+    """a in A_i - A_{i-1} for a degenerate step factor: <p*a> is not separable.
+
+    p is None when no prime of the step's gcd is known (Pollard rho left it
+    unsplit); the multiplier is then unfactored_cofactor, a divisor of the
+    gcd, so each of its primes is degenerate."""
 
     i: int
-    p: int
+    p: int | None
     vector: tuple[int, ...]
     subgroup_generator: tuple[int, ...]
+    unfactored_cofactor: int = 1
 
 
 @dataclass(frozen=True)
 class CssVerdict:
     css: bool
-    failing: tuple[tuple[int, IntPolynomial, int], ...]  # (factor index, factor, prime)
+    failing: tuple[tuple[int, IntPolynomial, int | None], ...]  # (factor index, factor, prime or None)
     factorization: Factorization
     degeneracy: DegeneracyResult
     eigen_witness: EigenWitness | None
@@ -202,18 +207,22 @@ def _eigen_witness(h: AscendingHNN, fact: Factorization) -> EigenWitness | None:
     return None
 
 
-def nonseparable_witness(h: AscendingHNN, chain: InvariantChain, i: int, p: int) -> NonSeparableWitness:
+def nonseparable_witness(
+    h: AscendingHNN, chain: InvariantChain, i: int, p: int | None, unfactored: int = 1
+) -> NonSeparableWitness:
     """Witness for step i (1-based) of the chain at a degenerate prime p:
-    the first basis vector of A_i outside A_{i-1}, with subgroup <p*a>."""
+    the first basis vector of A_i outside A_{i-1}, with subgroup <p*a>.
+    With p None the multiplier is the unfactored cofactor of the step's gcd."""
     step = chain.steps[i - 1]
     non_leading = step.factor.coeffs[: step.factor.degree]
     g = math.gcd(*non_leading) if non_leading else 1
-    if not (g == 0 or (g > 1 and g % p == 0)):
-        raise ValueError(f"prime {p} is not degenerate for the step factor")
+    m = unfactored if p is None else p
+    if m < 2 or not (g == 0 or (g > 1 and g % m == 0)):
+        raise ValueError(f"multiplier {m} is not degenerate for the step factor")
     prev = chain.lattice(i - 1)
     for b in step.lattice.basis:
         if not prev.contains(b):
-            return NonSeparableWitness(i, p, b, tuple(p * x for x in b))
+            return NonSeparableWitness(i, p, b, tuple(m * x for x in b), 1 if p is not None else m)
     raise ArithmeticError("chain step adds no new basis vector")
 
 
@@ -235,11 +244,12 @@ def css_decide(h: AscendingHNN) -> CssVerdict:
     if not failing:
         return CssVerdict(True, (), fact, deg, None, ())
     witnesses = []
-    for _, f, p in failing:
+    for idx, f, p in failing:
         chain = invariant_chain(h, prefer=f)
         # the preferred factor heads the chain, so the witness sits at step 1
         step_index = next(i + 1 for i, s in enumerate(chain.steps) if s.factor == f)
-        witnesses.append(nonseparable_witness(h, chain, step_index, p))
+        unfactored = deg.per_factor[idx].unfactored
+        witnesses.append(nonseparable_witness(h, chain, step_index, p, unfactored))
     return CssVerdict(
         False,
         failing,

@@ -16,10 +16,11 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .ntheory import factorize
 
@@ -777,9 +778,7 @@ def _mat_mod(rows: tuple, m: int) -> tuple:
 
 def _mat_mul_mod(a: tuple, b: tuple, m: int) -> tuple:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % m for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(operator.mul, row, col)) % m for col in bt) for row in a)
 
 
 def _mat_pow_mod(a: tuple, e: int, m: int) -> tuple:
@@ -794,31 +793,72 @@ def _mat_pow_mod(a: tuple, e: int, m: int) -> tuple:
     return out
 
 
-def _gl_exponent_factors(n: int, p: int, k: int) -> dict[int, int]:
-    """Prime factorization of |GL(n, Z/p^k)| (a multiple of every element order)."""
-    fac: dict[int, int] = {p: (k - 1) * n * n}
-    for i in range(n):
-        fac[p] = fac.get(p, 0) + i
-        for q, e in factorize(p ** (n - i) - 1).items():
-            fac[q] = fac.get(q, 0) + e
-    return {q: e for q, e in fac.items() if e}
+def _aut_order_factors(p: int, exps: Sequence[int]) -> dict[int, int]:
+    """Prime factorization of |Aut(Z/p^e_1 + ... + Z/p^e_k)|, a multiple of
+    the order of every automorphism (Hillar-Rhea, Automorphisms of finite
+    abelian groups, Amer. Math. Monthly 2007). With e_1 <= ... <= e_k,
+    d_j = max{l : e_l = e_j} and c_j = min{l : e_l = e_j}, it is the product
+    over j of (p^d_j - p^(j-1)) p^(e_j (k - d_j)) p^((e_j - 1)(k - c_j + 1))."""
+    e = sorted(exps)
+    k = len(e)
+    fac = {p: 0}
+    for j, ej in enumerate(e, 1):
+        dj = k - e[::-1].index(ej)
+        cj = e.index(ej) + 1
+        # p^d_j - p^(j-1) = p^(j-1) (p^(d_j-j+1) - 1)
+        fac[p] += (j - 1) + ej * (k - dj) + (ej - 1) * (k - cj + 1)
+        for q, a in factorize(p ** (dj - j + 1) - 1).items():
+            fac[q] = fac.get(q, 0) + a
+    return {q: a for q, a in fac.items() if a}
 
 
-def _order_mod_prime_power(m: IntMatrix, p: int, k: int) -> int:
-    q = p ** k
-    rows = _mat_mod(m.rows, q)
-    n = len(rows)
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    fac = _gl_exponent_factors(n, p, k)
-    e = 1
-    for prime, exp in fac.items():
-        e *= prime ** exp
-    if _mat_pow_mod(rows, e, q) != ident:
-        raise ArithmeticError("matrix not invertible mod prime power")
-    for prime in fac:
-        while e % prime == 0 and _mat_pow_mod(rows, e // prime, q) == ident:
-            e //= prime
-    return e
+def _order_from_multiple(rows: tuple, modulus: int, fac: dict[int, int],
+                         is_identity: Callable[[tuple], bool]) -> int:
+    """Least r >= 1 with is_identity(M^r mod modulus), for an M whose order
+    divides the product of q^a over fac: per prime q, raise M to the part of
+    that product prime to q, then count the q-th powers to the identity."""
+    e = math.prod(q ** a for q, a in fac.items())
+    r = 1
+    for q, a in fac.items():
+        y = _mat_pow_mod(rows, e // q ** a, modulus)
+        k = 0
+        while not is_identity(y):
+            if k == a:
+                raise ArithmeticError("element order does not divide the group order")
+            y = _mat_pow_mod(y, q, modulus)
+            k += 1
+        r *= q ** k
+    return r
+
+
+def _induced_order(m: IntMatrix, qs: QuotientStructure) -> int:
+    """Least r >= 1 with M^r the identity on Z^n/K, where qs describes Z^n/K
+    and M induces an automorphism of it: the lcm, over the primes p of the
+    exponent of Z^n/K, of the order on the p-part, found by stripping |Aut|
+    of that part. Matrix entries live mod the p-part of the exponent."""
+    n = m.n
+    r = 1
+    for p, top in factorize(qs.exponent).items():
+        q = p ** top
+        vals = []
+        for d in qs.invariant_factors:
+            v = 0
+            while d % p == 0:
+                d //= p
+                v += 1
+            vals.append(v)
+        mods = [p ** v for v in vals]
+
+        def fixes(y: tuple) -> bool:
+            for j in range(n):
+                w = qs.transform.apply([y[i][j] - (i == j) for i in range(n)])
+                if any(x % md for x, md in zip(w, mods)):
+                    return False
+            return True
+
+        fac = _aut_order_factors(p, [v for v in vals if v])
+        r = math.lcm(r, _order_from_multiple(_mat_mod(m.rows, q), q, fac, fixes))
+    return r
 
 
 @lru_cache(maxsize=4096)
@@ -832,9 +872,7 @@ def mod_m_order(m: IntMatrix, modulus: int, cap: Optional[int] = None) -> Option
         raise ValueError("modulus must be >= 2")
     if math.gcd(m.det() % modulus, modulus) != 1:
         return None
-    r = 1
-    for p, k in sorted(factorize(modulus).items()):
-        r = math.lcm(r, _order_mod_prime_power(m, p, k))
+    r = _induced_order(m, QuotientStructure((modulus,) * m.n, IntMatrix.identity(m.n)))
     if cap is not None and r > cap:
         raise OrderCapExceeded(f"order {r} exceeds cap {cap}")
     return r

@@ -98,32 +98,36 @@ def _factorization_json(fact: Factorization | None, css: CssVerdict | None) -> l
             row["degeneracy_gcd"] = d.gcd
             row["degenerate_primes"] = list(d.primes)
             row["all_primes_degenerate"] = d.all_primes
+            if d.unfactored > 1:
+                row["unfactored_cofactor"] = d.unfactored
         out.append(row)
     return out
 
 
 def _css_witness_json(css: CssVerdict) -> dict:
-    out: dict = {
-        "failing": [
-            {"factor_index": i, "factor": list(f.coeffs), "prime": p}
-            for i, f, p in css.failing
-        ]
-    }
+    out: dict = {"failing": []}
+    for i, f, p in css.failing:
+        row = {"factor_index": i, "factor": list(f.coeffs), "prime": p}
+        if p is None:
+            row["unfactored_cofactor"] = css.degeneracy.per_factor[i].unfactored
+        out["failing"].append(row)
     if css.eigen_witness is not None:
         out["eigen"] = {
             "lambda": css.eigen_witness.lam,
             "vector": list(css.eigen_witness.vector),
         }
     if css.nonseparable_witnesses:
-        out["nonseparable"] = [
-            {
+        out["nonseparable"] = []
+        for w in css.nonseparable_witnesses:
+            row = {
                 "i": w.i,
                 "p": w.p,
                 "vector": list(w.vector),
                 "subgroup_generator": list(w.subgroup_generator),
             }
-            for w in css.nonseparable_witnesses
-        ]
+            if w.p is None:
+                row["unfactored_cofactor"] = w.unfactored_cofactor
+            out["nonseparable"].append(row)
     return out
 
 
@@ -228,6 +232,8 @@ def report_text(report: Report) -> str:
                 parts.append(f"degeneracy gcd {row.gcd}, primes {{{', '.join(map(str, row.primes))}}}")
             else:
                 parts.append(f"degeneracy gcd {row.gcd}")
+            if row.unfactored > 1:
+                parts.append(f"unfactored {row.unfactored}")
             lines.append(f"  factor: {f.to_text()} ({'; '.join(parts)})")
     css = report.css_detail
     if css is not None and not css.css:
@@ -235,8 +241,9 @@ def report_text(report: Report) -> str:
             w = css.eigen_witness
             lines.append(f"eigen_witness: lambda = {w.lam}, vector = {_vec(w.vector)}")
         for w in css.nonseparable_witnesses:
+            mult = f"p = {w.p}" if w.p is not None else f"unfactored {w.unfactored_cofactor}"
             lines.append(
-                f"nonseparable_witness: step {w.i}, p = {w.p}, a = {_vec(w.vector)},"
+                f"nonseparable_witness: step {w.i}, {mult}, a = {_vec(w.vector)},"
                 f" subgroup <{_vec(w.subgroup_generator)}>"
             )
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import IntPolynomial
-from .ntheory import is_prime, prime_divisors
+from .ntheory import is_prime, partial_factorize
 
 MAX_DEGREE = 12
 
@@ -58,6 +58,7 @@ class FactorDegeneracy:
     multiplicity: int
     gcd: int                      # gcd of the non-leading coefficients
     primes: tuple[int, ...]       # primes p with factor == x^deg (mod p)
+    unfactored: int               # part of gcd the rho budget left unsplit (1: none)
     all_primes: bool              # True iff every prime degenerates (factor = x^k)
 
     @property
@@ -66,6 +67,8 @@ class FactorDegeneracy:
 
     @property
     def witness_prime(self) -> int | None:
+        """A known degenerate prime; None when there is none, or when the
+        gcd's only part left is the cofactor Pollard rho could not split."""
         if self.all_primes:
             return 2
         return self.primes[0] if self.primes else None
@@ -408,7 +411,8 @@ def integer_roots(f: IntPolynomial) -> tuple[int, ...]:
 
 
 def degeneracy_test(fact: Factorization) -> DegeneracyResult:
-    """Per factor: gcd of non-leading coefficients and its prime divisors.
+    """Per factor: gcd of non-leading coefficients and its prime divisors
+    (with the part Pollard rho could not split within its budget).
 
     A factor f of degree k satisfies f = x^k (mod p) exactly when p divides
     that gcd (f is monic); gcd 0 means every prime degenerates (f = x^k).
@@ -417,11 +421,13 @@ def degeneracy_test(fact: Factorization) -> DegeneracyResult:
     for f, mult in fact.factors:
         non_leading = f.coeffs[: f.degree]
         g = math.gcd(*non_leading) if non_leading else 1
+        primes, unfactored = partial_factorize(g)
         rows.append(FactorDegeneracy(
             factor=f,
             multiplicity=mult,
             gcd=g,
-            primes=prime_divisors(g) if g > 1 else (),
+            primes=tuple(sorted(primes)),
+            unfactored=unfactored,
             all_primes=(g == 0),
         ))
     return DegeneracyResult(tuple(rows))

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, Iterator
 
 from .css import AscendingHNN, InvariantChain, invariant_chain
 from .exact import (
@@ -24,6 +25,7 @@ from .exact import (
     Lattice,
     QuotientStructure,
     RatMatrix,
+    _induced_order,
     _mat_mod,
     _mat_pow_mod,
     image,
@@ -33,11 +35,15 @@ from .exact import (
 )
 from .ntheory import primes_upto
 
-_ORDER_ITERATION_CAP = 10 ** 7
-
 
 class NotASeparationInstance(ValueError):
     """The element to separate already lies in the cyclic subgroup."""
+
+
+class CertificateError(ArithmeticError):
+    """An internal check of the oracle failed: a certificate did not verify
+    or a construction broke an invariant it guarantees. Raised explicitly,
+    so the check survives python -O."""
 
 
 # ---------------------------------------------------------------------------
@@ -240,31 +246,6 @@ class FiniteQuotientSpec:
         return target not in seen
 
 
-def _induced_order(phi: IntMatrix, qs: QuotientStructure) -> int:
-    """Least r >= 1 with phi^r the identity on Z^n/K; the induced map must be
-    an automorphism. Matrix entries live mod the quotient exponent."""
-    e = qs.exponent
-    if e == 1:
-        return 1
-    n = phi.n
-    rows = _mat_mod(phi.rows, e)
-    cur = rows
-    for r in range(1, _ORDER_ITERATION_CAP):
-        fixed = True
-        for j in range(n):
-            col = tuple(cur[i][j] - int(i == j) for i in range(n))
-            if any(qs.coords(col)):
-                fixed = False
-                break
-        if fixed:
-            return r
-        cur = tuple(
-            tuple(sum(rows[i][l] * cur[l][j] for l in range(n)) % e for j in range(n))
-            for i in range(n)
-        )
-    raise ArithmeticError("induced order iteration cap exceeded")
-
-
 def make_quotient(phi: IntMatrix, k: Lattice) -> FiniteQuotientSpec | None:
     """Quotient spec for a full-rank phi-invariant K, with r the least valid
     exponent; None when the induced map on Z^n/K is not bijective (no valid
@@ -291,7 +272,8 @@ def coprime_quotient(phi: IntMatrix, m: int) -> FiniteQuotientSpec:
     if math.gcd(m, d) != 1:
         raise ValueError(f"m = {m} shares a factor with d = {d}")
     r = mod_m_order(phi, m)
-    assert r is not None
+    if r is None:
+        raise CertificateError(f"phi has no order modulo {m} although gcd({m}, {d}) = 1")
     return FiniteQuotientSpec.build(phi, Lattice.scaled(phi.n, m), r)
 
 
@@ -363,31 +345,62 @@ def _in_cyclic_plus_lattice(qs: QuotientStructure, g1, g2) -> bool:
     return True
 
 
-@lru_cache(maxsize=64)
-def _family(phi: IntMatrix, chain: InvariantChain, budget: int) -> tuple[Lattice, ...]:
-    """Candidate lattices in oracle enumeration order: coprime scales mA by
-    increasing m, then K_{p^m,i} by increasing p (then m, then i), then
-    pairwise intersections in the induced order.
+class _LazyFamily:
+    """The oracle family of one (phi, chain, budget), built on demand.
 
-    The exponent m runs to ceil(log2 budget) for primes dividing d, where the
-    eventual-preimage filtration can be deep, and keeps p^m <= budget for the
-    other primes (there K_{p^m,i} is close to p^m A and higher powers add
-    nothing the coprime scales miss).
+    Iterating replays the members built so far, then pulls new ones from the
+    member generator, so a query that hits early builds only a prefix, and
+    the next query on the same family resumes where the last one stopped.
     """
+
+    def __init__(self, make_members: Callable[[], Iterator[Lattice]]):
+        self._make = make_members
+        self._built: list[Lattice] = []
+        self._members = make_members()
+
+    def __iter__(self) -> Iterator[Lattice]:
+        i = 0
+        while True:
+            if i == len(self._built):
+                try:
+                    lat = next(self._members, None)
+                except BaseException:
+                    # a generator that raised is finished and would read as
+                    # drained: continue from a fresh one past the built prefix
+                    self._members = itertools.islice(self._make(), len(self._built), None)
+                    raise
+                if lat is None:
+                    return
+                self._built.append(lat)
+            yield self._built[i]
+            i += 1
+
+
+def _index(k: Lattice) -> int:
+    """|Z^n / K| for a full-rank K: the product of its HNF pivots."""
+    return math.prod(col[j] for j, col in enumerate(k.basis))
+
+
+def _family_members(phi: IntMatrix, chain: InvariantChain, budget: int) -> Iterator[Lattice]:
     n = phi.n
     d = abs(phi.det())
     log_budget = max(1, (budget - 1).bit_length())
     base: list[Lattice] = []
     seen: set = set()
 
-    def push(lat: Lattice) -> None:
-        if lat.basis not in seen:
-            seen.add(lat.basis)
-            base.append(lat)
+    def fresh(lat: Lattice) -> bool:
+        if lat.basis in seen:
+            return False
+        seen.add(lat.basis)
+        return True
 
     for m in range(2, budget + 1):
         if math.gcd(m, d) == 1:
-            push(Lattice.scaled(n, m))
+            lat = Lattice.scaled(n, m)
+            if fresh(lat):
+                base.append(lat)
+                yield lat
+    scales = len(base)
     for p in primes_upto(budget):
         if d % p == 0:
             m_max = log_budget
@@ -397,14 +410,40 @@ def _family(phi: IntMatrix, chain: InvariantChain, budget: int) -> tuple[Lattice
                 m_max += 1
         for m in range(1, m_max + 1):
             for i in range(chain.length):
-                push(k_subgroup(phi, chain, p, m, i))
-    out = list(base)
+                lat = k_subgroup(phi, chain, p, m, i)
+                if fresh(lat):
+                    base.append(lat)
+                    yield lat
+    index = [_index(lat) for lat in base]
     for a, b in itertools.combinations(range(len(base)), 2):
+        if b < scales or math.gcd(index[a], index[b]) == 1:
+            continue
         lat = base[a].intersect(base[b])
-        if lat.basis not in seen:
-            seen.add(lat.basis)
-            out.append(lat)
-    return tuple(out)
+        if fresh(lat):
+            yield lat
+
+
+@lru_cache(maxsize=64)
+def _family(phi: IntMatrix, chain: InvariantChain, budget: int) -> _LazyFamily:
+    """Candidate lattices in oracle order, built lazily and memoised: coprime
+    scales mA by increasing m, then K_{p^m,i} by increasing p (then m, then
+    i), then pairwise intersections in pair order, skipping any lattice met
+    before.
+
+    The exponent m runs to ceil(log2 budget) for primes dividing d, where the
+    eventual-preimage filtration can be deep, and keeps p^m <= budget for the
+    other primes (there K_{p^m,i} is close to p^m A and higher powers add
+    nothing the coprime scales miss).
+
+    Pairs of coprime index are skipped (the index of mA has the primes of m,
+    that of K_{p^m,i} is a power of p): by CRT Z^n/(K1 n K2) = Z^n/K1 x Z^n/K2,
+    so K1 n K2 separates only if K1 or K2 does, and both are scanned first.
+    Pairs of two scales are skipped too: mA n m'A = lcm(m, m')A is the
+    intersection of the p^v A with p^v exactly dividing lcm(m, m'), which are
+    pairwise coprime scales <= budget and so members; by the same CRT step it
+    separates only if one of them does. The first hit is unchanged.
+    """
+    return _LazyFamily(partial(_family_members, phi, chain, budget))
 
 
 def separate_in_A(phi: IntMatrix, chain: InvariantChain, g1, g2, budget: int = 50) -> FiniteQuotientSpec | None:
@@ -419,7 +458,7 @@ def separate_in_A(phi: IntMatrix, chain: InvariantChain, g1, g2, budget: int = 5
         if not _in_cyclic_plus_lattice(qs, g1, g2):
             spec = make_quotient(phi, k)
             if spec is None:
-                raise ArithmeticError("family member with non-bijective induced map")
+                raise CertificateError("family member with non-bijective induced map")
             return spec
     return None
 
@@ -465,8 +504,8 @@ def separate_cyclic(
         raise NotASeparationInstance("x2 lies in <x1>")
 
     def finish(spec: FiniteQuotientSpec | None) -> FiniteQuotientSpec | None:
-        if spec is not None:
-            assert spec.separates(x1, x2), "certificate failed verification"
+        if spec is not None and not spec.separates(x1, x2):
+            raise CertificateError("certificate failed verification")
         return spec
 
     e1, e2 = x1.t_exponent, x2.t_exponent
@@ -494,7 +533,8 @@ def separate_cyclic(
     y2 = nf_conjugate_t(phi, y2, shift2)
     i = y1.t_exponent
     j = y2.t_exponent
-    assert y1.i == 0 and y2.i == 0 and i > 0 and j >= 0
+    if not (y1.i == 0 and y2.i == 0 and i > 0 and j >= 0):
+        raise CertificateError("t-conjugation left the elements outside the shapes a t^i, b t^j")
     if j == 0:
         return finish(_hyperbolic_vs_A(phi, y1.vector, i, y2.vector, budget))
     if j % i:

@@ -1,12 +1,18 @@
 """Independent cross-check routines used only by the tests: the rank-2
-CSS shortcut and the label ratios of a graph's fundamental cycles."""
+CSS shortcut, the label ratios of a graph's fundamental cycles, and the
+eager separation-oracle family whose first hit the lazy one must match."""
 
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from gbsep.css import AscendingHNN
+from gbsep.css import AscendingHNN, InvariantChain
+from gbsep.exact import IntMatrix, Lattice
 from gbsep.gog import LabeledGraphOfGroups, SpanningTree, require_valid, spanning_tree
+from gbsep.ntheory import primes_upto
 from gbsep.poly import integer_roots
+from gbsep.quotient import k_subgroup
 
 
 def n2_shortcut(h: AscendingHNN) -> bool:
@@ -43,3 +49,67 @@ def cycle_ratios(g: LabeledGraphOfGroups) -> tuple[Fraction, ...]:
         r = _ratio_to_base(tree, e.src) * Fraction(e.label_to, e.label_from) / _ratio_to_base(tree, e.dst)
         out.append(r)
     return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def eager_family(phi: IntMatrix, chain: InvariantChain, budget: int) -> tuple[Lattice, ...]:
+    """Candidate lattices in oracle enumeration order: coprime scales mA by
+    increasing m, then K_{p^m,i} by increasing p (then m, then i), then
+    pairwise intersections in the induced order.
+
+    The exponent m runs to ceil(log2 budget) for primes dividing d, where the
+    eventual-preimage filtration can be deep, and keeps p^m <= budget for the
+    other primes (there K_{p^m,i} is close to p^m A and higher powers add
+    nothing the coprime scales miss).
+    """
+    n = phi.n
+    d = abs(phi.det())
+    log_budget = max(1, (budget - 1).bit_length())
+    base: list[Lattice] = []
+    seen: set = set()
+
+    def push(lat: Lattice) -> None:
+        if lat.basis not in seen:
+            seen.add(lat.basis)
+            base.append(lat)
+
+    for m in range(2, budget + 1):
+        if math.gcd(m, d) == 1:
+            push(Lattice.scaled(n, m))
+    for p in primes_upto(budget):
+        if d % p == 0:
+            m_max = log_budget
+        else:
+            m_max = 1
+            while p ** (m_max + 1) <= budget:
+                m_max += 1
+        for m in range(1, m_max + 1):
+            for i in range(chain.length):
+                push(k_subgroup(phi, chain, p, m, i))
+    out = list(base)
+    for a, b in itertools.combinations(range(len(base)), 2):
+        lat = base[a].intersect(base[b])
+        if lat.basis not in seen:
+            seen.add(lat.basis)
+            out.append(lat)
+    return tuple(out)
+
+
+def pruned_family(phi: IntMatrix, chain: InvariantChain, budget: int) -> list[Lattice]:
+    """eager_family without the intersections of two members of coprime
+    index or of two coprime scales: the lazy family must yield exactly
+    these, in this order."""
+    n, d = phi.n, abs(phi.det())
+    base = [Lattice.scaled(n, m) for m in range(2, budget + 1) if math.gcd(m, d) == 1]
+    scales = len(base)
+    log_budget = max(1, (budget - 1).bit_length())
+    for p in primes_upto(budget):
+        m_max = log_budget if d % p == 0 else max(m for m in range(1, budget) if p ** m <= budget)
+        base += [k_subgroup(phi, chain, p, m, i) for m in range(1, m_max + 1) for i in range(chain.length)]
+    base = list(dict.fromkeys(base))  # first occurrence wins, as in the family
+    index = [abs(k.basis_matrix().det()) for k in base]
+    out = list(base)
+    for a, b in itertools.combinations(range(len(base)), 2):
+        if b >= scales and math.gcd(index[a], index[b]) > 1:
+            out.append(base[a].intersect(base[b]))
+    return list(dict.fromkeys(out))

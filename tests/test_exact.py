@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,6 +9,7 @@ from gbsep.exact import (
     IntPolynomial,
     Lattice,
     OrderCapExceeded,
+    _aut_order_factors,
     hnf,
     image,
     kernel,
@@ -318,6 +320,32 @@ def test_mod_m_order_agrees_with_iteration():
                 assert cur != ident
         assert cur == ident
     assert checked > 50
+
+
+def _brute_aut_count(ds):
+    """Number of automorphisms of Z/d_1 + ... + Z/d_k: generator images of
+    admissible order that give a bijection."""
+    elems = list(itertools.product(*(range(d) for d in ds)))
+
+    def fits(v, d):
+        return all(d * x % e == 0 for x, e in zip(v, ds))
+
+    count = 0
+    for imgs in itertools.product(*([v for v in elems if fits(v, d)] for d in ds)):
+        images = {tuple(sum(c * im[j] for c, im in zip(x, imgs)) % ds[j] for j in range(len(ds)))
+                  for x in elems}
+        count += len(images) == len(elems)
+    return count
+
+
+def test_aut_order_matches_brute_force_count():
+    for p, exps in ((2, [1]), (3, [2]), (2, [1, 1]), (2, [1, 2]), (2, [2, 2]), (3, [1, 2]),
+                    (5, [1, 1]), (2, [1, 1, 1]), (2, [1, 1, 2])):
+        fac = _aut_order_factors(p, exps)
+        assert math.prod(q ** a for q, a in fac.items()) == _brute_aut_count([p ** e for e in exps])
+    # |GL(n, Z/p^k)| is the homocyclic case
+    fac = _aut_order_factors(3, [2, 2, 2])
+    assert math.prod(q ** a for q, a in fac.items()) == 3 ** 9 * (27 - 1) * (27 - 3) * (27 - 9)
 
 
 def test_mod_m_order_cap():

@@ -1,11 +1,16 @@
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
-from gbsep.css import AscendingHNN, invariant_chain
-from gbsep.exact import IntMatrix, Lattice, image
+from gbsep.css import AscendingHNN, css_decide, invariant_chain
+from gbsep.exact import IntMatrix, Lattice, image, quotient_structure
+from gbsep import quotient
+from gbsep.ntheory import factorize
 from gbsep.quotient import (
+    CertificateError,
     FiniteQuotientSpec,
     NormalFormElement,
     NotASeparationInstance,
@@ -21,9 +26,12 @@ from gbsep.quotient import (
     separate_cyclic,
     separate_in_A,
     twisted_power_sum,
+    _family,
+    _in_cyclic_plus_lattice,
 )
 
-from conftest import C2, C3
+from conftest import C1, C2, C3, C4, C5
+from oracles import eager_family, pruned_family
 
 
 def chain_of(phi):
@@ -239,6 +247,120 @@ def test_separate_in_A_certificate_is_sound():
             diff = tuple(a - k * b for a, b in zip(g2, g1))
             assert not spec.lattice.contains(diff)
     assert hits > 10
+
+
+def _eager_first_hit(phi, chain, g1, g2, budget):
+    """First member of the eager family whose lattice separates g2 from <g1>."""
+    for k in eager_family(phi, chain, budget):
+        if not _in_cyclic_plus_lattice(quotient_structure(k), g1, g2):
+            spec = make_quotient(phi, k)
+            return spec.lattice.basis, spec.r
+    return None
+
+
+def test_lazy_family_matches_eager_first_hit():
+    # phi drawn as in criterion 9; pairs: the css-no witness, multiples of one
+    # vector (separable when x is prime to d) and unrelated vectors
+    rng = random.Random(37)
+    cases = hits = 0
+    while cases < 160:
+        n = rng.choice((2, 3))
+        while True:
+            phi = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+            if phi.det() != 0:
+                break
+        h = AscendingHNN.of(phi)
+        chain = invariant_chain(h)
+        verdict = css_decide(h)
+        budget = rng.randint(12, 30)
+        pairs = [(w.subgroup_generator, w.vector) for w in verdict.nonseparable_witnesses]
+        a = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(a):
+            x = rng.randint(2, 9)
+            pairs.append((tuple(x * c for c in a), tuple(rng.choice([y for y in range(1, 20) if y % x]) * c for c in a)))
+        pairs.append((tuple(rng.randint(-3, 3) for _ in range(n)), tuple(rng.randint(-3, 3) for _ in range(n))))
+        for g1, g2 in pairs:
+            try:
+                spec = separate_in_A(phi, chain, g1, g2, budget)
+            except NotASeparationInstance:
+                continue
+            cases += 1
+            got = None if spec is None else (spec.lattice.basis, spec.r)
+            assert got == _eager_first_hit(phi, chain, g1, g2, budget), (phi, g1, g2, budget)
+            if spec is not None:
+                hits += 1
+                for q in factorize(spec.r):  # r is the least valid exponent
+                    with pytest.raises(ValueError):
+                        FiniteQuotientSpec.build(phi, spec.lattice, spec.r // q)
+    assert 40 < hits < cases
+
+
+def test_family_resumes_where_the_last_query_stopped():
+    phi, budget = C2, 30
+    chain = chain_of(phi)
+    _family.cache_clear()
+    family = _family(phi, chain, budget)
+    spec = separate_in_A(phi, chain, (3, 0), (1, 0), budget)  # separable: stops early
+    assert spec is not None
+    assert _family(phi, chain, budget) is family
+    partial = len(family._built)
+    assert separate_in_A(phi, chain, (2, 0), (1, 0), budget) is None  # drains the family
+    assert len(family._built) > partial
+    _family.cache_clear()
+    fresh = list(_family(phi, chain, budget))
+    assert list(family) == fresh == family._built == pruned_family(phi, chain, budget)
+    rng = random.Random(38)
+    examples = [(C1, 20), (C3, 24), (C4, 16), (C5, 20)]
+    examples += [(random_nonsingular(rng, rng.choice((2, 3))), rng.randint(12, 20)) for _ in range(12)]
+    for phi, budget in examples:
+        assert list(_family(phi, chain_of(phi), budget)) == pruned_family(phi, chain_of(phi), budget)
+    # bench/run.py empties every functools cache of gbsep between cold requests
+    assert callable(getattr(_family, "cache_clear", None))
+
+
+def test_family_survives_an_error_while_building(monkeypatch):
+    # the first hit of this query is the first K_{p^m,i}, built after the scales
+    phi, budget, g1, g2 = C1, 20, (2, 2), (1, 1)
+    chain = chain_of(phi)
+    _family.cache_clear()
+    calls = []
+
+    def failing_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("injected")
+        return k_subgroup(*args)
+
+    monkeypatch.setattr(quotient, "k_subgroup", failing_once)
+    with pytest.raises(RuntimeError, match="injected"):
+        separate_in_A(phi, chain, g1, g2, budget)
+    spec = separate_in_A(phi, chain, g1, g2, budget)
+    assert spec is not None
+    assert (spec.lattice.basis, spec.r) == _eager_first_hit(phi, chain, g1, g2, budget)
+    assert list(_family(phi, chain, budget)) == pruned_family(phi, chain, budget)
+    _family.cache_clear()
+
+
+def test_certificate_check_survives_optimize():
+    # a tampered oracle answer must raise even when python -O strips asserts
+    code = """
+import sys
+from gbsep import quotient
+from gbsep.exact import IntMatrix, Lattice
+assert False, "asserts are live"  # stripped under -O
+phi = IntMatrix([[1, 2], [2, 2]])
+quotient.separate_in_A = lambda phi, chain, g1, g2, budget: quotient.FiniteQuotientSpec.build(phi, Lattice.full(2), 1)
+a = quotient.NormalFormElement(0, (2, 0), 0)
+b = quotient.NormalFormElement(0, (1, 0), 0)
+try:
+    quotient.separate_cyclic(phi, a, b, 50)
+except quotient.CertificateError as e:
+    print("CertificateError", e)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("CertificateError certificate failed verification")
+    assert issubclass(CertificateError, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,15 @@ from gbsep.exact import (
     mod_m_order,
     snf,
 )
-from gbsep.ntheory import factorize, is_prime, primes_upto
+import pytest
+
+from gbsep.ntheory import factorize, is_prime, partial_factorize, primes_upto
 from gbsep.poly import factor_over_Q
 
 # psi_12: the least strong pseudoprime to the twelve prime bases 2..37
 PSI12 = 318665857834031151167461
+# a product of two primes near 10^15: beyond the Pollard rho budget
+RHO_HARD = (10 ** 15 + 37) * (10 ** 15 + 91)
 
 
 def test_normal_forms_with_large_entries():
@@ -120,6 +124,44 @@ def test_strong_pseudoprime_psi12_is_split():
     (row,) = json.loads(out)["factors"]
     assert row["degeneracy_gcd"] == PSI12
     assert row["degenerate_primes"] == [399165290221, 798330580441]
+
+
+def test_rho_budget_leaves_hard_composites_unfactored():
+    assert partial_factorize(6 * RHO_HARD) == ({2: 1, 3: 1}, RHO_HARD)
+    with pytest.raises(ArithmeticError):
+        factorize(RHO_HARD)
+    # the degeneracy verdict needs only gcd > 1; the witness names the
+    # cofactor as unfactored instead of hanging or listing it as a prime
+    code, out = _cli(["factor", f"[{RHO_HARD},{RHO_HARD},1]", "--json"], 10)
+    assert code == 0
+    doc = json.loads(out)
+    (row,) = doc["factors"]
+    assert row["degeneracy_gcd"] == RHO_HARD
+    assert row["degenerate_primes"] == []
+    assert row["unfactored_cofactor"] == RHO_HARD
+    assert doc["separable_criterion"] is False
+    code, out = _cli(["factor", f"[{RHO_HARD},{RHO_HARD},1]"], 10)
+    assert code == 0 and f"unfactored {RHO_HARD}" in out
+
+
+def test_unfactored_cofactor_is_not_reported_as_a_prime(tmp_path):
+    # the companion matrix of x^2 + N x + N: css fails with no known prime
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"rank": 2, "ascending_hnn": [[0, -RHO_HARD], [1, -RHO_HARD]]}))
+    code, out = _cli(["analyze", str(path), "--json"], 10)
+    assert code == 0
+    css = json.loads(out)["details"]["cyclic_subgroup_separable"]
+    assert css["status"] == "no"
+    (failing,) = css["witness"]["failing"]
+    assert failing["prime"] is None
+    assert failing["unfactored_cofactor"] == RHO_HARD
+    (w,) = css["witness"]["nonseparable"]
+    assert w["p"] is None
+    assert w["unfactored_cofactor"] == RHO_HARD
+    assert w["subgroup_generator"] == [RHO_HARD * x for x in w["vector"]]
+    code, out = _cli(["analyze", str(path)], 10)
+    assert code == 0
+    assert f"nonseparable_witness: step 1, unfactored {RHO_HARD}, a = (1, 0)" in out
 
 
 def test_good_prime_search_is_unbounded():
