@@ -21,10 +21,10 @@ import sys
 
 from .css import AscendingHNN, invariant_chain
 from .exact import IntMatrix, IntPolynomial
-from .gog import Edge, GraphValidationError, LabeledGraphOfGroups, classify, reduce, validate
+from .gog import Edge, LabeledGraphOfGroups, classify, reduce, validate
 from .modular import Caps
 from .pipeline import analyze, report_text
-from .poly import UnsupportedDegreeError, degeneracy_test, factor_over_Q
+from .poly import degeneracy_test, factor_over_Q
 from .quotient import NotASeparationInstance, separate_in_A
 
 
@@ -267,10 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, GraphValidationError, UnsupportedDegreeError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # SchemaError, GraphValidationError and UnsupportedDegreeError too
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -22,13 +22,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
-from .ntheory import factorize
+from .ntheory import binary_power, factorize
 
 Vector = tuple[int, ...]
 
 
-class OrderCapExceeded(Exception):
-    """A multiplicative order exists but exceeds the supplied cap."""
+class CertificateError(ArithmeticError):
+    """An internal check failed: a certificate did not verify or a
+    construction broke an invariant it guarantees. Raised explicitly, so the
+    check survives python -O."""
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +80,6 @@ class IntMatrix:
     def columns(self) -> tuple[Vector, ...]:
         return tuple(self.column(j) for j in range(self.ncols))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows)) if self.rows else IntMatrix(())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
@@ -118,14 +117,7 @@ class IntMatrix:
     def __pow__(self, e: int) -> "IntMatrix":
         if e < 0:
             raise ValueError("negative power of an integer matrix")
-        out = IntMatrix.identity(self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out @ base
-            base = base @ base
-            e >>= 1
-        return out
+        return binary_power(self, e, operator.matmul, IntMatrix.identity(self.n))
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
@@ -210,10 +202,6 @@ class IntPolynomial:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    @property
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
@@ -292,9 +280,6 @@ class IntPolynomial:
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def content(self) -> int:
-        return math.gcd(*self.coeffs) if self.coeffs else 0
 
     def sort_key(self) -> tuple:
         return (self.degree, self.coeffs)
@@ -783,14 +768,8 @@ def _mat_mul_mod(a: tuple, b: tuple, m: int) -> tuple:
 
 def _mat_pow_mod(a: tuple, e: int, m: int) -> tuple:
     n = len(a)
-    out = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    base = a
-    while e:
-        if e & 1:
-            out = _mat_mul_mod(out, base, m)
-        base = _mat_mul_mod(base, base, m)
-        e >>= 1
-    return out
+    one = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return binary_power(a, e, lambda x, y: _mat_mul_mod(x, y, m), one)
 
 
 def _aut_order_factors(p: int, exps: Sequence[int]) -> dict[int, int]:
@@ -862,17 +841,13 @@ def _induced_order(m: IntMatrix, qs: QuotientStructure) -> int:
 
 
 @lru_cache(maxsize=4096)
-def mod_m_order(m: IntMatrix, modulus: int, cap: Optional[int] = None) -> Optional[int]:
+def mod_m_order(m: IntMatrix, modulus: int) -> Optional[int]:
     """Least r >= 1 with M^r = I (mod modulus); None when no order exists.
 
-    An order exists iff gcd(det M, modulus) = 1. Raises OrderCapExceeded
-    when the order exists but is larger than cap.
+    An order exists iff gcd(det M, modulus) = 1.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if math.gcd(m.det() % modulus, modulus) != 1:
         return None
-    r = _induced_order(m, QuotientStructure((modulus,) * m.n, IntMatrix.identity(m.n)))
-    if cap is not None and r > cap:
-        raise OrderCapExceeded(f"order {r} exceeds cap {cap}")
-    return r
+    return _induced_order(m, QuotientStructure((modulus,) * m.n, IntMatrix.identity(m.n)))

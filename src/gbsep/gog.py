@@ -41,12 +41,6 @@ class LabeledGraphOfGroups:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
-
 
 @dataclass(frozen=True)
 class CollapseStep:

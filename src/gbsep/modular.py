@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Lattice, RatMatrix
+from .exact import CertificateError, Lattice, RatMatrix
 from .gog import LabeledGraphOfGroups, require_valid, spanning_tree
 
 
@@ -195,13 +195,14 @@ def conjugate_into_GLnZ(gens: tuple[RatMatrix, ...], caps: Caps = Caps()) -> Con
                 w2 = word + (sym,)
                 if abs(m2.det()) != 1:
                     cert = Certificate(w2, m2, "determinant")
-                    assert _verify_certificate(cert)
-                    return ConjugacyResult("no", certificate=cert)
-                if not m2.has_integer_charpoly():
+                elif not m2.has_integer_charpoly():
                     cert = Certificate(w2, m2, "charpoly")
-                    assert _verify_certificate(cert)
-                    return ConjugacyResult("no", certificate=cert)
-                nxt.append((m2, w2))
+                else:
+                    nxt.append((m2, w2))
+                    continue
+                if not _verify_certificate(cert):
+                    raise CertificateError(f"{cert.defect} certificate failed verification")
+                return ConjugacyResult("no", certificate=cert)
         frontier = nxt
 
     # phase 2: yes-detector by lattice saturation
@@ -214,7 +215,8 @@ def conjugate_into_GLnZ(gens: tuple[RatMatrix, ...], caps: Caps = Caps()) -> Con
             grown = grown.add(lat.apply(alphabet[2 * i + 1][1]))
         if grown == lat:
             basis = lat.basis_rat()
-            assert _verify_yes(basis, gens)
+            if not _verify_yes(basis, gens):
+                raise CertificateError("invariant lattice failed verification")
             return ConjugacyResult(
                 "yes",
                 conjugator=basis,

@@ -4,17 +4,21 @@ polynomial degeneracy tests, and quotient enumeration."""
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 # the first 13 primes: as Miller-Rabin bases they are decisive for every
 # n < psi_13 = 3317044064679887385961981 ~ 3.3 * 10**24 (Sorenson-Webster,
 # Strong pseudoprimes to twelve prime bases, Math. Comp. 2017); the first 12
 # are not (psi_12 = 318665857834031151167461 is a strong pseudoprime to them)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases _SMALL_PRIMES: exact below psi_13, a strong
-    probable-prime test above it."""
+    """Miller-Rabin to the bases _SMALL_PRIMES: exact below psi_13. From
+    psi_13 on, a strong Lucas test is added, which makes it a BPSW test
+    (Baillie-Wagstaff, Lucas pseudoprimes, Math. Comp. 1980): probable, with
+    no known counterexample."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -35,13 +39,57 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < PSI13 or _strong_lucas(n)
 
 
-# Pollard rho steps one partial_factorize call may spend (about 0.5 s of
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n with no prime factor
+    <= 41, with Selfridge's parameters (method A): D the first of 5, -7, 9,
+    -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # (D/n) = -1 has no solution
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    if j == 0:
+        return n == abs(D)
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 1, 1, Q % n  # U_k, V_k, Q^k mod n, from k = 1 up to k = (n + 1) >> s
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
+
+
+# Pollard rho steps one partial_factorize call may spend (about 0.8 s of
 # CPython 3.11 on a 2-vCPU x86 VM); enough to split
-# psi_12 = 399165290221 * 798330580441
-RHO_STEPS = 1 << 20
+# psi_12 = 399165290221 * 798330580441 and
+# psi_13 = 1287836182261 * 2575672364521
+RHO_STEPS = 1 << 21
 
 
 def _pollard_rho(n: int, steps: int) -> tuple[int | None, int]:
@@ -126,6 +174,17 @@ def factorize(n: int) -> dict[int, int]:
     out, rest = partial_factorize(n)
     if rest != 1:
         raise ArithmeticError(f"{rest} is not split within {RHO_STEPS} rho steps")
+    return out
+
+
+def binary_power(base, e: int, mul: Callable, one):
+    """base^e for e >= 0 under the associative product mul with identity
+    one, by left-to-right binary powering."""
+    out = one
+    for bit in bin(e)[2:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, base)
     return out
 
 

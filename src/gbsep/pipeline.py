@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .css import AscendingHNN, CssVerdict, css_decide
-from .exact import IntPolynomial
+from .exact import CertificateError, IntPolynomial
 from .gog import Classification, LabeledGraphOfGroups, classify, reduce
 from .modular import Caps, Verdict, virtually_Zn_by_free
 from .poly import Factorization
@@ -182,7 +182,8 @@ def analyze(g: LabeledGraphOfGroups, caps: Caps = Caps(), input_echo: dict | Non
         caps=caps,
         elapsed_seconds=time.monotonic() - start,
     )
-    assert report.consistent(), "verdict implication chain violated"
+    if not report.consistent():
+        raise CertificateError("verdict implication chain violated")
     return report
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import IntPolynomial
-from .ntheory import is_prime, partial_factorize
+from .ntheory import binary_power, is_prime, partial_factorize
 
 MAX_DEGREE = 12
 
@@ -225,14 +225,10 @@ def _gf_egcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], 
 
 
 def _gf_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    out = [1]
-    base = _gf_divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            out = _gf_divmod(_gf_mul(out, base, p), mod, p)[1]
-        base = _gf_divmod(_gf_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return out
+    def mul(x: list[int], y: list[int]) -> list[int]:
+        return _gf_divmod(_gf_mul(x, y, p), mod, p)[1]
+
+    return binary_power(_gf_divmod(a, mod, p)[1], e, mul, [1])
 
 
 def _gf_factor_squarefree(f: list[int], p: int) -> list[list[int]]:

@@ -3,9 +3,9 @@
 A full-rank phi-invariant sublattice K together with a compatible exponent r
 determines the finite-index normal subgroup <K, t^r>; the quotient is the
 semidirect product (Z^n/K) x| Z/r with t acting by the induced map. This
-module builds such quotients (coprime-scale lattices mA, the eventual
-preimage family K_{p^m,i}, and intersections), computes element orders, and
-runs the budgeted separation oracle for cyclic subgroups.
+module builds such quotients (coprime-scale lattices mA and the eventual
+preimage family K_{p^m,i}), computes element orders, and runs the budgeted
+separation oracle for cyclic subgroups.
 
 A "none" from the oracle means no separating quotient was found within the
 budget; it is evidence, not proof, of non-separability.
@@ -21,6 +21,7 @@ from typing import Callable, Iterator
 
 from .css import AscendingHNN, InvariantChain, invariant_chain
 from .exact import (
+    CertificateError,
     IntMatrix,
     Lattice,
     QuotientStructure,
@@ -33,17 +34,11 @@ from .exact import (
     preimage,
     quotient_structure,
 )
-from .ntheory import primes_upto
+from .ntheory import binary_power, primes_upto
 
 
 class NotASeparationInstance(ValueError):
     """The element to separate already lies in the cyclic subgroup."""
-
-
-class CertificateError(ArithmeticError):
-    """An internal check of the oracle failed: a certificate did not verify
-    or a construction broke an invariant it guarantees. Raised explicitly,
-    so the check survives python -O."""
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +104,7 @@ def nf_inv(phi: IntMatrix, x: NormalFormElement) -> NormalFormElement:
 def nf_pow(phi: IntMatrix, x: NormalFormElement, k: int) -> NormalFormElement:
     if k < 0:
         return nf_pow(phi, nf_inv(phi, x), -k)
-    out = NormalFormElement(0, (0,) * phi.n, 0)
-    base = x
-    while k:
-        if k & 1:
-            out = nf_mul(phi, out, base)
-        base = nf_mul(phi, base, base)
-        k >>= 1
-    return out
+    return binary_power(x, k, partial(nf_mul, phi), NormalFormElement(0, (0,) * phi.n, 0))
 
 
 def nf_conjugate_t(phi: IntMatrix, x: NormalFormElement, k: int) -> NormalFormElement:
@@ -376,50 +364,29 @@ class _LazyFamily:
             i += 1
 
 
-def _index(k: Lattice) -> int:
-    """|Z^n / K| for a full-rank K: the product of its HNF pivots."""
-    return math.prod(col[j] for j, col in enumerate(k.basis))
-
-
 def _family_members(phi: IntMatrix, chain: InvariantChain, budget: int) -> Iterator[Lattice]:
-    n = phi.n
     d = abs(phi.det())
     log_budget = max(1, (budget - 1).bit_length())
-    base: list[Lattice] = []
     seen: set = set()
 
-    def fresh(lat: Lattice) -> bool:
-        if lat.basis in seen:
-            return False
-        seen.add(lat.basis)
-        return True
+    def candidates() -> Iterator[Lattice]:
+        for m in range(2, budget + 1):
+            if math.gcd(m, d) == 1:
+                yield Lattice.scaled(phi.n, m)
+        for p in primes_upto(budget):
+            if d % p == 0:
+                m_max = log_budget
+            else:
+                m_max = 1
+                while p ** (m_max + 1) <= budget:
+                    m_max += 1
+            for m in range(1, m_max + 1):
+                for i in range(chain.length):
+                    yield k_subgroup(phi, chain, p, m, i)
 
-    for m in range(2, budget + 1):
-        if math.gcd(m, d) == 1:
-            lat = Lattice.scaled(n, m)
-            if fresh(lat):
-                base.append(lat)
-                yield lat
-    scales = len(base)
-    for p in primes_upto(budget):
-        if d % p == 0:
-            m_max = log_budget
-        else:
-            m_max = 1
-            while p ** (m_max + 1) <= budget:
-                m_max += 1
-        for m in range(1, m_max + 1):
-            for i in range(chain.length):
-                lat = k_subgroup(phi, chain, p, m, i)
-                if fresh(lat):
-                    base.append(lat)
-                    yield lat
-    index = [_index(lat) for lat in base]
-    for a, b in itertools.combinations(range(len(base)), 2):
-        if b < scales or math.gcd(index[a], index[b]) == 1:
-            continue
-        lat = base[a].intersect(base[b])
-        if fresh(lat):
+    for lat in candidates():
+        if lat.basis not in seen:
+            seen.add(lat.basis)
             yield lat
 
 
@@ -427,21 +394,27 @@ def _family_members(phi: IntMatrix, chain: InvariantChain, budget: int) -> Itera
 def _family(phi: IntMatrix, chain: InvariantChain, budget: int) -> _LazyFamily:
     """Candidate lattices in oracle order, built lazily and memoised: coprime
     scales mA by increasing m, then K_{p^m,i} by increasing p (then m, then
-    i), then pairwise intersections in pair order, skipping any lattice met
-    before.
+    i), skipping any lattice met before.
 
     The exponent m runs to ceil(log2 budget) for primes dividing d, where the
     eventual-preimage filtration can be deep, and keeps p^m <= budget for the
     other primes (there K_{p^m,i} is close to p^m A and higher powers add
     nothing the coprime scales miss).
 
-    Pairs of coprime index are skipped (the index of mA has the primes of m,
-    that of K_{p^m,i} is a power of p): by CRT Z^n/(K1 n K2) = Z^n/K1 x Z^n/K2,
-    so K1 n K2 separates only if K1 or K2 does, and both are scanned first.
-    Pairs of two scales are skipped too: mA n m'A = lcm(m, m')A is the
-    intersection of the p^v A with p^v exactly dividing lcm(m, m'), which are
-    pairwise coprime scales <= budget and so members; by the same CRT step it
-    separates only if one of them does. The first hit is unchanged.
+    Intersections of two members are not candidates: none is ever the first
+    separating lattice. Separation is monotone: if K < K' and K' separates,
+    so does K. By CRT, I = K1 n K2 separates only if one of its p-parts
+    I + p^v Z^n does (a cyclic subgroup of a product of groups of coprime
+    order splits), and that p-part is the intersection of the p-parts of K1
+    and K2. The p-part of mA is p^v A with p^v exactly dividing m, a member;
+    K_{p^m,i} is its own p-part. Two scales meet in p^max(v,v') A, a member.
+    Two members of one prime meet in a lattice containing
+    K_{p^max(m,m'), min(i,i')}, since the chain ascends and A_i + p^m A
+    shrinks as m grows; it is a member. For p^v A n K_{p^k,i}, p does not
+    divide d, so K_{p^k,i} = A_i + p^k A and the intersection contains
+    p^max(v,k) A, a member. So every separating p-part contains a member,
+    which separates too and is scanned before any intersection would be: the
+    first hit is unchanged.
     """
     return _LazyFamily(partial(_family_members, phi, chain, budget))
 

@@ -95,21 +95,13 @@ def eager_family(phi: IntMatrix, chain: InvariantChain, budget: int) -> tuple[La
     return tuple(out)
 
 
-def pruned_family(phi: IntMatrix, chain: InvariantChain, budget: int) -> list[Lattice]:
-    """eager_family without the intersections of two members of coprime
-    index or of two coprime scales: the lazy family must yield exactly
-    these, in this order."""
+def base_family(phi: IntMatrix, chain: InvariantChain, budget: int) -> list[Lattice]:
+    """eager_family without its intersections: the coprime scales and the
+    K_{p^m,i}. The lazy family must yield exactly these, in this order."""
     n, d = phi.n, abs(phi.det())
     base = [Lattice.scaled(n, m) for m in range(2, budget + 1) if math.gcd(m, d) == 1]
-    scales = len(base)
     log_budget = max(1, (budget - 1).bit_length())
     for p in primes_upto(budget):
         m_max = log_budget if d % p == 0 else max(m for m in range(1, budget) if p ** m <= budget)
         base += [k_subgroup(phi, chain, p, m, i) for m in range(1, m_max + 1) for i in range(chain.length)]
-    base = list(dict.fromkeys(base))  # first occurrence wins, as in the family
-    index = [abs(k.basis_matrix().det()) for k in base]
-    out = list(base)
-    for a, b in itertools.combinations(range(len(base)), 2):
-        if b >= scales and math.gcd(index[a], index[b]) > 1:
-            out.append(base[a].intersect(base[b]))
-    return list(dict.fromkeys(out))
+    return list(dict.fromkeys(base))  # first occurrence wins, as in the family

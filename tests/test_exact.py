@@ -8,7 +8,6 @@ from gbsep.exact import (
     IntMatrix,
     IntPolynomial,
     Lattice,
-    OrderCapExceeded,
     _aut_order_factors,
     hnf,
     image,
@@ -349,6 +348,4 @@ def test_aut_order_matches_brute_force_count():
 
 
 def test_mod_m_order_cap():
-    with pytest.raises(OrderCapExceeded):
-        mod_m_order(C2, 3, cap=7)
-    assert mod_m_order(C2, 3, cap=8) == 8
+    assert mod_m_order(C2, 3) == 8

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -89,6 +91,31 @@ def test_conjugacy_charpoly_certificate():
         m = m @ gens[s]
     assert m == res.certificate.matrix
     assert not m.has_integer_charpoly()
+
+
+def test_tampered_certificates_raise_under_optimize():
+    # a certificate or lattice that fails its check must raise even when
+    # python -O strips asserts
+    code = """
+from gbsep import modular
+from gbsep.exact import CertificateError, IntMatrix, RatMatrix
+assert False, "asserts are live"  # stripped under -O
+modular._verify_certificate = lambda cert: False
+modular._verify_yes = lambda basis, gens: False
+shear = RatMatrix(IntMatrix([[2, 1], [0, 2]]), 2)
+for gens in [(RatMatrix(IntMatrix([[3]]), 2),), (shear, RatMatrix(IntMatrix([[1, 0], [1, 1]]))), (shear,)]:
+    try:
+        modular.conjugate_into_GLnZ(gens)
+    except CertificateError as e:
+        print("CertificateError", e)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "CertificateError determinant certificate failed verification",
+        "CertificateError charpoly certificate failed verification",
+        "CertificateError invariant lattice failed verification",
+    ]
 
 
 def test_conjugacy_unknown_with_tight_caps():

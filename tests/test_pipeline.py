@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -110,3 +112,22 @@ def test_random_ascending_reports_consistent():
         assert (rep.subgroup_separable.status == "yes") == (abs(phi.det()) == 1)
         if rep.subgroup_separable.status == "yes":
             assert rep.cyclic_subgroup_separable.status == "yes"
+
+
+def test_inconsistent_report_raises_under_optimize():
+    code = """
+import gbsep
+from gbsep import pipeline
+from gbsep.exact import IntMatrix
+from gbsep.gog import Edge, LabeledGraphOfGroups
+assert False, "asserts are live"  # stripped under -O
+pipeline.Report.consistent = lambda self: False
+g = LabeledGraphOfGroups(1, ("v",), (Edge("e", "v", "v", IntMatrix([[1]]), IntMatrix([[3]])),))
+try:
+    pipeline.analyze(g)
+except gbsep.CertificateError as e:
+    print("CertificateError", e)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "CertificateError verdict implication chain violated\n"

@@ -31,7 +31,7 @@ from gbsep.quotient import (
 )
 
 from conftest import C1, C2, C3, C4, C5
-from oracles import eager_family, pruned_family
+from oracles import base_family, eager_family
 
 
 def chain_of(phi):
@@ -308,12 +308,12 @@ def test_family_resumes_where_the_last_query_stopped():
     assert len(family._built) > partial
     _family.cache_clear()
     fresh = list(_family(phi, chain, budget))
-    assert list(family) == fresh == family._built == pruned_family(phi, chain, budget)
+    assert list(family) == fresh == family._built == base_family(phi, chain, budget)
     rng = random.Random(38)
     examples = [(C1, 20), (C3, 24), (C4, 16), (C5, 20)]
     examples += [(random_nonsingular(rng, rng.choice((2, 3))), rng.randint(12, 20)) for _ in range(12)]
     for phi, budget in examples:
-        assert list(_family(phi, chain_of(phi), budget)) == pruned_family(phi, chain_of(phi), budget)
+        assert list(_family(phi, chain_of(phi), budget)) == base_family(phi, chain_of(phi), budget)
     # bench/run.py empties every functools cache of gbsep between cold requests
     assert callable(getattr(_family, "cache_clear", None))
 
@@ -337,7 +337,7 @@ def test_family_survives_an_error_while_building(monkeypatch):
     spec = separate_in_A(phi, chain, g1, g2, budget)
     assert spec is not None
     assert (spec.lattice.basis, spec.r) == _eager_first_hit(phi, chain, g1, g2, budget)
-    assert list(_family(phi, chain, budget)) == pruned_family(phi, chain, budget)
+    assert list(_family(phi, chain, budget)) == base_family(phi, chain, budget)
     _family.cache_clear()
 
 

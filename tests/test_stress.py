@@ -18,11 +18,13 @@ from gbsep.exact import (
 )
 import pytest
 
-from gbsep.ntheory import factorize, is_prime, partial_factorize, primes_upto
+from gbsep.ntheory import _strong_lucas, factorize, is_prime, partial_factorize, primes_upto
 from gbsep.poly import factor_over_Q
 
 # psi_12: the least strong pseudoprime to the twelve prime bases 2..37
 PSI12 = 318665857834031151167461
+# psi_13: the least strong pseudoprime to the thirteen prime bases 2..41
+PSI13 = 3317044064679887385961981
 # a product of two primes near 10^15: beyond the Pollard rho budget
 RHO_HARD = (10 ** 15 + 37) * (10 ** 15 + 91)
 
@@ -124,6 +126,36 @@ def test_strong_pseudoprime_psi12_is_split():
     (row,) = json.loads(out)["factors"]
     assert row["degeneracy_gcd"] == PSI12
     assert row["degenerate_primes"] == [399165290221, 798330580441]
+
+
+def test_strong_pseudoprime_psi13_is_split():
+    # a strong pseudoprime to the thirteen prime bases 2..41: the strong
+    # Lucas test rejects it
+    assert not is_prime(PSI13)
+    assert partial_factorize(PSI13) == ({1287836182261: 1, 2575672364521: 1}, 1)
+
+
+def test_strong_lucas_pseudoprimes():
+    # the strong Lucas pseudoprimes (Selfridge parameters) below 2 * 10^5
+    # with no prime factor <= 41 (OEIS A217255): the Lucas part alone accepts
+    # them, Miller-Rabin rejects them
+    pseudo = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+              100127, 113573, 115639, 130139, 158399, 161027, 162133, 176399, 176471, 189419,
+              192509, 197801]
+    small = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for n in range(43, 200000, 2):
+        if all(n % p for p in small):
+            assert _strong_lucas(n) == (n in pseudo or is_prime(n)), n
+    assert not any(is_prime(n) for n in pseudo)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1980)
+    numbers = [rng.getrandbits(rng.randint(80, 120)) | 1 for _ in range(3000)]
+    numbers += [int(sympy.nextprime(rng.getrandbits(100))) for _ in range(100)]
+    for n in numbers:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_rho_budget_leaves_hard_composites_unfactored():
