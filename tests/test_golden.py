@@ -9,6 +9,13 @@ one pair per graph is its css-no witness when it has one, which is a full
 non-separable scan. The input documents are committed under
 tests/golden/inputs/, and a test checks them against the corpus.
 
+A second case list, EXTRA_CASES, runs only `analyze` and `factor` (the
+characteristic polynomial of the reduced phi) on committed inputs outside the
+corpus: high-rank ascending inputs with several failing factors, a repeated
+charpoly factor, (x - 1)(x - 2^31), which is squarefree over Q but not
+modulo 2^31 - 1, and a loop whose incl_from is a non-identity unimodular
+matrix. Their input documents are written once and never regenerated.
+
 The test never writes files. Regenerate every snapshot with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -24,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from gbsep.cli import main
+from gbsep.cli import main, parse_input_document
 from gbsep.css import AscendingHNN, css_decide
 from gbsep.gog import classify, reduce
 
@@ -65,7 +72,7 @@ def _separation_pairs(h: AscendingHNN) -> list:
 def cases() -> dict[str, list[str]]:
     """Snapshot path (relative to tests/golden) -> CLI argv."""
     out = {}
-    polys = {}
+    polys = []
     for name, g in corpus_graphs().items():
         inp = str(GOLDEN / "inputs" / f"{name}.json")
         for fmt, ext in FORMATS.items():
@@ -81,15 +88,47 @@ def cases() -> dict[str, list[str]]:
                             "separate", inp, f"--g1={_vec(g1)}", f"--g2={_vec(g2)}",
                             "--budget", str(budget), f"--{fmt}"]
         for m in mats:
-            coeffs = m.charpoly().coeffs
-            polys.setdefault(coeffs, "poly_" + "_".join(map(str, coeffs)))
-    for coeffs, tag in polys.items():
+            polys.append(m.charpoly().coeffs)
+    out.update(_factor_cases(polys))
+    return out
+
+
+def _factor_cases(polys) -> dict[str, list[str]]:
+    out = {}
+    for coeffs in polys:
+        tag = "poly_" + "_".join(map(str, coeffs))
         for fmt, ext in FORMATS.items():
             out[f"factor/{tag}.{ext}"] = ["factor", json.dumps(list(coeffs)), f"--{fmt}"]
     return out
 
 
+EXTRA_INPUTS = (
+    "high_rank_6_degenerate",
+    "high_rank_8_two_failing",
+    "high_rank_10_nondegenerate",
+    "high_rank_12_three_failing",
+    "high_rank_12_two_failing",
+    "repeated_factor",
+    "squarefree_not_mod_p",
+    "unimodular_incl_from",
+)
+
+
+def extra_cases() -> dict[str, list[str]]:
+    out = {}
+    polys = []
+    for name in EXTRA_INPUTS:
+        inp = GOLDEN / "inputs" / f"{name}.json"
+        for fmt, ext in FORMATS.items():
+            out[f"analyze/{name}.{ext}"] = ["analyze", str(inp), f"--{fmt}"]
+        g, _ = parse_input_document(json.loads(inp.read_text(encoding="utf-8")))
+        polys.append(classify(*reduce(g)).phi.charpoly().coeffs)
+    out.update(_factor_cases(polys))
+    return out
+
+
 CASES = cases()
+EXTRA_CASES = extra_cases()
 
 
 def run(argv) -> str:
@@ -108,8 +147,8 @@ def test_inputs_match_corpus():
 
 def test_no_stale_snapshots():
     on_disk = {p.relative_to(GOLDEN).as_posix() for p in GOLDEN.rglob("*") if p.is_file()}
-    inputs = {f"inputs/{name}.json" for name in corpus_graphs()}
-    assert on_disk == set(CASES) | inputs
+    inputs = {f"inputs/{name}.json" for name in (*corpus_graphs(), *EXTRA_INPUTS)}
+    assert on_disk == set(CASES) | set(EXTRA_CASES) | inputs
 
 
 @pytest.mark.parametrize("path", sorted(CASES))
@@ -118,16 +157,22 @@ def test_cli_output_matches_snapshot(path):
     assert run(CASES[path]) == expected
 
 
+@pytest.mark.parametrize("path", sorted(EXTRA_CASES))
+def test_extra_cli_output_matches_snapshot(path):
+    expected = (GOLDEN / path).read_text(encoding="utf-8")
+    assert run(EXTRA_CASES[path]) == expected
+
+
 def regenerate() -> None:
     for name, g in corpus_graphs().items():
         target = GOLDEN / "inputs" / f"{name}.json"
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(json.dumps(graph_doc(g), indent=2) + "\n", encoding="utf-8")
-    for path, argv in CASES.items():
+    for path, argv in {**CASES, **EXTRA_CASES}.items():
         target = GOLDEN / path
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(run(argv), encoding="utf-8")
-    print(f"wrote {len(CASES)} snapshots under {GOLDEN}")
+    print(f"wrote {len(CASES) + len(EXTRA_CASES)} snapshots under {GOLDEN}")
 
 
 if __name__ == "__main__":
