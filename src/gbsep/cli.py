@@ -9,8 +9,9 @@ Subcommands:
                   inside the vertex group of an ascending input
 
 Exit codes: 0 success; 1 unknown verdict under --strict; 2 malformed input;
-3 separate called with g2 already in <g1>. Output is deterministic
-(byte-identical across runs for fixed input and flags).
+3 separate called with g2 already in <g1>; 4 internal failure (a check
+raised CertificateError or another ArithmeticError). Output is
+deterministic (byte-identical across runs for fixed input and flags).
 """
 
 from __future__ import annotations
@@ -270,6 +271,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:  # SchemaError, GraphValidationError and UnsupportedDegreeError too
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except ArithmeticError as e:  # CertificateError too: an internal check failed
+        sys.stderr.write(f"internal error: {e}\n")
+        return 4
 
 
 if __name__ == "__main__":

@@ -142,52 +142,56 @@ def _quotient_matrix(phi: IntMatrix, lat: Lattice) -> tuple[IntMatrix, IntMatrix
     return quot, p, pinv
 
 
+def _chain_step(phi: IntMatrix, current: Lattice, prefer: IntPolynomial | None = None,
+                cp: IntPolynomial | None = None) -> ChainStep:
+    """The chain step above `current`; cp, when given, is the characteristic
+    polynomial of the map phi induces on Z^n / current."""
+    quot, p, _ = _quotient_matrix(phi, current)
+    cp = quot.charpoly() if cp is None else cp
+    if prefer is not None and prefer.divides(cp):
+        pick = prefer
+    else:
+        pick = min(factor_over_Q(cp).distinct(), key=IntPolynomial.sort_key)
+    ker = kernel(pick.at_matrix(quot))
+    if not ker.basis:
+        raise ArithmeticError("irreducible factor with trivial kernel")
+    v = ker.basis[0]
+    # phi-cyclic span of v inside the quotient, then saturate
+    vecs = [v]
+    for _ in range(pick.degree - 1):
+        vecs.append(quot.apply(vecs[-1]))
+    sub = Lattice.from_columns(quot.n, vecs).saturate()
+    if sub.rank != pick.degree:
+        raise ArithmeticError("cyclic span has wrong dimension")
+    # induced matrix of the quotient map on sub (integral: sub is invariant)
+    coords = []
+    for b in sub.basis:
+        c = sub.coordinates(quot.apply(b))
+        if c is None:
+            raise ArithmeticError("cyclic span not invariant")
+        coords.append(tuple(c))
+    induced = IntMatrix.from_columns(coords, sub.rank)
+    if induced.charpoly() != pick:
+        raise ArithmeticError("induced matrix has wrong characteristic polynomial")
+    # pull back to Z^n through the complement columns of P
+    k = current.rank
+    lift = [p.apply((0,) * k + w) for w in sub.basis]
+    nxt = Lattice.from_columns(phi.n, list(current.basis) + lift).saturate()
+    return ChainStep(nxt, pick, induced)
+
+
 def invariant_chain(h: AscendingHNN, prefer: IntPolynomial | None = None) -> InvariantChain:
     """Build the chain deterministically: at each step take the irreducible
     factor of least degree (ties by ascending coefficient tuple) of the
     current quotient's characteristic polynomial, and the first kernel basis
     vector. A preferred factor, when it divides the current quotient's
     characteristic polynomial, is taken first instead."""
-    n = h.n
     steps: list[ChainStep] = []
-    current = Lattice.zero(n)
-    while current.rank < n:
-        quot, p, _ = _quotient_matrix(h.phi, current)
-        cp = quot.charpoly()
-        options = factor_over_Q(cp).distinct()
-        pick = None
-        if prefer is not None and prefer.divides(cp):
-            pick = prefer
-        else:
-            pick = min(options, key=IntPolynomial.sort_key)
-        ker = kernel(pick.at_matrix(quot))
-        if not ker.basis:
-            raise ArithmeticError("irreducible factor with trivial kernel")
-        v = ker.basis[0]
-        # phi-cyclic span of v inside the quotient, then saturate
-        vecs = [v]
-        for _ in range(pick.degree - 1):
-            vecs.append(quot.apply(vecs[-1]))
-        sub = Lattice.from_columns(quot.n, vecs).saturate()
-        if sub.rank != pick.degree:
-            raise ArithmeticError("cyclic span has wrong dimension")
-        # induced matrix of the quotient map on sub (integral: sub is invariant)
-        coords = []
-        for b in sub.basis:
-            c = sub.coordinates(quot.apply(b))
-            if c is None:
-                raise ArithmeticError("cyclic span not invariant")
-            coords.append(tuple(c))
-        induced = IntMatrix.from_columns(coords, sub.rank)
-        if induced.charpoly() != pick:
-            raise ArithmeticError("induced matrix has wrong characteristic polynomial")
-        # pull back to Z^n through the complement columns of P
-        k = current.rank
-        lift = [p.apply((0,) * k + w) for w in sub.basis]
-        nxt = Lattice.from_columns(n, list(current.basis) + lift).saturate()
-        steps.append(ChainStep(nxt, pick, induced))
-        current = nxt
-    return InvariantChain(n, tuple(steps))
+    current = Lattice.zero(h.n)
+    while current.rank < h.n:
+        steps.append(_chain_step(h.phi, current, prefer))
+        current = steps[-1].lattice
+    return InvariantChain(h.n, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +240,8 @@ def css_decide(h: AscendingHNN) -> CssVerdict:
     Separable iff every irreducible factor of charpoly(phi) keeps a unit gcd
     among its non-leading coefficients; each failure is witnessed.
     """
-    fact = factor_over_Q(h.phi.charpoly())
+    cp = h.phi.charpoly()
+    fact = factor_over_Q(cp)
     deg = degeneracy_test(fact)
     failing = tuple(
         (idx, row.factor, row.witness_prime) for idx, row in deg.failing()
@@ -245,11 +250,9 @@ def css_decide(h: AscendingHNN) -> CssVerdict:
         return CssVerdict(True, (), fact, deg, None, ())
     witnesses = []
     for idx, f, p in failing:
-        chain = invariant_chain(h, prefer=f)
-        # the preferred factor heads the chain, so the witness sits at step 1
-        step_index = next(i + 1 for i, s in enumerate(chain.steps) if s.factor == f)
-        unfactored = deg.per_factor[idx].unfactored
-        witnesses.append(nonseparable_witness(h, chain, step_index, p, unfactored))
+        # f divides cp, so it heads its preferred chain: the witness is at step 1
+        chain = InvariantChain(h.n, (_chain_step(h.phi, Lattice.zero(h.n), f, cp),))
+        witnesses.append(nonseparable_witness(h, chain, 1, p, deg.per_factor[idx].unfactored))
     return CssVerdict(
         False,
         failing,

@@ -339,15 +339,6 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return cls(IntMatrix.identity(n))
 
-    @classmethod
-    def from_fractions(cls, rows: Sequence[Sequence[Fraction]]) -> "RatMatrix":
-        den = 1
-        for row in rows:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        num = IntMatrix(tuple(int(x * den) for x in row) for row in rows)
-        return cls(num, den)
-
     @property
     def n(self) -> int:
         return self.num.n
@@ -360,9 +351,6 @@ class RatMatrix:
         if not self.is_integral:
             raise ValueError("matrix is not integral")
         return self.num
-
-    def to_fractions(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num.rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatMatrix) and self.num == other.num and self.den == other.den
@@ -382,7 +370,8 @@ class RatMatrix:
         return Fraction(self.num.det(), self.den ** self.num.n)
 
     def inverse(self) -> "RatMatrix":
-        return RatMatrix.from_fractions(_fraction_inverse(self.to_fractions()))
+        d, b = _adjugate(self.num)
+        return RatMatrix(self.den * b, d)
 
     def charpoly_fractions(self) -> tuple[Fraction, ...]:
         """Ascending coefficients of det(xI - M) over Q.
@@ -397,27 +386,35 @@ class RatMatrix:
         return all(c.denominator == 1 for c in self.charpoly_fractions())
 
 
-def _fraction_inverse(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(rows)
-    a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+def _adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
+    """(d, B) with m @ B == d * I and d = +-det m; ZeroDivisionError when m
+    is singular. Fraction-free (Bareiss) Gauss-Jordan on [m | I]: after step
+    k every entry is a (k+1)-minor of the row-permuted [m | I] (Sylvester's
+    identity), so each division by the previous pivot is exact."""
+    n = m.n
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        a[k], a[piv] = a[piv], a[k]
+        pk = a[k]
+        d = pk[k]
         for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+            if i != k:
+                c = a[i][k]
+                a[i] = [(d * x - c * y) // prev for x, y in zip(a[i], pk)]
+        prev = d
+    return prev, IntMatrix(tuple(r[n:] for r in a))
 
 
 def int_inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    inv = RatMatrix(m).inverse()
-    return inv.to_int()
+    """Exact inverse of a unimodular integer matrix; ValueError otherwise."""
+    d, b = _adjugate(m)
+    if abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    return d * b
 
 
 # ---------------------------------------------------------------------------

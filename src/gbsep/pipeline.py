@@ -152,8 +152,8 @@ def analyze(g: LabeledGraphOfGroups, caps: Caps = Caps(), input_echo: dict | Non
         else:
             subsep = Verdict("no", reason="strictly-ascending", witness={"d": h.d})
         css = css_decide(h)
-        char_poly = h.phi.charpoly()
         fact = css.factorization
+        char_poly = fact.product()
         if css.css:
             cssv = Verdict("yes", reason="all-factors-nondegenerate")
         else:

@@ -128,9 +128,15 @@ def _exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def squarefree_decomposition(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun's algorithm: f = prod a_i^i with each a_i monic squarefree."""
+    """f = prod a_i^i with each a_i monic squarefree, for monic f.
+
+    f is squarefree when gcd(f, f') = 1 modulo P = 2^31 - 1 (the monic gcd
+    over Q divides both mod P and keeps its degree); Yun's algorithm runs
+    only when that test fails: repeated factors, or P | disc(f)."""
     if f.degree <= 0:
         return []
+    if len(_gf_gcd(list(f.coeffs), list(f.derivative().coeffs), 2**31 - 1)) == 1:
+        return [(f, 1)]
     b = gcd_monic(f, f.derivative())
     c = _exact_div(f, b)
     d = _exact_div(f.derivative(), b) - c.derivative()

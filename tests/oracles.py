@@ -1,17 +1,24 @@
 """Independent cross-check routines used only by the tests: the rank-2
-CSS shortcut, the label ratios of a graph's fundamental cycles, and the
-eager separation-oracle family whose first hit the lazy one must match."""
+CSS shortcut, the label ratios of a graph's fundamental cycles, the eager
+separation-oracle family whose first hit the lazy one must match, the
+full-chain css witnesses and the Fraction Gauss-Jordan inverse."""
 
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from gbsep.css import AscendingHNN, InvariantChain
+from gbsep.css import (
+    AscendingHNN,
+    InvariantChain,
+    NonSeparableWitness,
+    invariant_chain,
+    nonseparable_witness,
+)
 from gbsep.exact import IntMatrix, Lattice
 from gbsep.gog import LabeledGraphOfGroups, SpanningTree, require_valid, spanning_tree
 from gbsep.ntheory import primes_upto
-from gbsep.poly import integer_roots
+from gbsep.poly import degeneracy_test, factor_over_Q, integer_roots
 from gbsep.quotient import k_subgroup
 
 
@@ -23,6 +30,35 @@ def n2_shortcut(h: AscendingHNN) -> bool:
     if any(abs(r) > 1 for r in integer_roots(h.phi.charpoly())):
         return False
     return math.gcd(h.phi.trace(), h.d) == 1
+
+
+def full_chain_witnesses(h: AscendingHNN) -> tuple[NonSeparableWitness, ...]:
+    """css witnesses read off the whole chain that prefers each failing
+    factor, at the step that factor heads."""
+    deg = degeneracy_test(factor_over_Q(h.phi.charpoly()))
+    out = []
+    for _, row in deg.failing():
+        chain = invariant_chain(h, prefer=row.factor)
+        step_index = next(i + 1 for i, s in enumerate(chain.steps) if s.factor == row.factor)
+        out.append(nonseparable_witness(h, chain, step_index, row.witness_prime, row.unfactored))
+    return tuple(out)
+
+
+def _fraction_inverse(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
+    n = len(rows)
+    a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
 
 
 def _ratio_to_base(tree: SpanningTree, v: str) -> Fraction:

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,16 @@ def test_analyze_strict_exits_1_on_unknown(tmp_path):
 
 # ---------------------------------------------------------------------------
 # factor
+
+
+def test_internal_failure_exits_4(monkeypatch):
+    from gbsep.pipeline import Report
+
+    monkeypatch.setattr(Report, "consistent", lambda self: False)
+    g1 = str(Path(__file__).resolve().parent / "golden" / "inputs" / "g1.json")
+    code, out, err = run(["analyze", g1])
+    assert (code, out) == (4, "")
+    assert err == "internal error: verdict implication chain violated\n"
 
 
 def test_factor_examples():

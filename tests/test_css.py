@@ -9,10 +9,10 @@ from gbsep.css import (
     invariant_chain,
     nonseparable_witness,
 )
-from gbsep.exact import IntMatrix, IntPolynomial, Lattice, image
+from gbsep.exact import IntMatrix, IntPolynomial, Lattice, image, int_inverse_unimodular
 
 from conftest import C1, C2, C3, C4, C5
-from oracles import n2_shortcut
+from oracles import full_chain_witnesses, n2_shortcut
 
 
 def h(m):
@@ -157,6 +157,52 @@ def test_nonseparable_witness_membership_random():
             assert not chain.lattice(w.i - 1).contains(w.vector)
 
 
+def random_degenerate_phi(rng, n):
+    """U B U^-1 with U unimodular and B block upper triangular; each diagonal
+    block is a companion matrix, the first (and some others) of an Eisenstein
+    polynomial, so at least one factor of charpoly(phi) is degenerate."""
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    while off < n:
+        k = rng.randint(1, min(3, n - off))
+        if off == 0 or rng.random() < 0.3:
+            p = rng.choice((2, 3, 5))
+            coeffs = [p * rng.choice([u for u in (-2, -1, 1, 2) if u % p])]
+            coeffs += [p * rng.randint(-1, 1) for _ in range(k - 1)]
+        else:
+            coeffs = [rng.choice((-3, -2, -1, 1, 2, 3))] + [rng.randint(-3, 3) for _ in range(k - 1)]
+        for i in range(k):
+            if i:
+                rows[off + i][off + i - 1] = 1
+            rows[off + i][off + k - 1] = -coeffs[i]
+            for j in range(off + k, n):
+                rows[off + i][j] = rng.randint(-1, 1)
+        off += k
+    u = IntMatrix.identity(n)
+    for _ in range(n + 2):
+        m = [list(r) for r in u.rows]
+        i, j = rng.sample(range(n), 2)
+        sign = rng.choice((-1, 1))
+        for c in range(n):
+            m[i][c] += sign * m[j][c]
+        u = IntMatrix(m)
+    return u @ IntMatrix(rows) @ int_inverse_unimodular(u)
+
+
+def test_witnesses_match_full_chain_reference():
+    """css_decide builds only the first step of each preferred chain; its
+    witnesses equal those read off the whole chain."""
+    rng = random.Random(27)
+    several = 0
+    for _ in range(150):
+        hh = h(random_degenerate_phi(rng, rng.choice((2, 2, 3, 3, 4, 4, 5, 6))))
+        v = css_decide(hh)
+        assert not v.css
+        assert v.nonseparable_witnesses == full_chain_witnesses(hh)
+        several += len(v.failing) > 1
+    assert several > 20
+
+
 # ---------------------------------------------------------------------------
 # shortcuts and global facts
 
@@ -219,7 +265,5 @@ def test_large_integer_eigenvalue_forces_no():
             for k in range(n):
                 m[i][k] += m[j][k]
             u = IntMatrix(m)
-        from gbsep.exact import int_inverse_unimodular
-
         phi = u @ phi @ int_inverse_unimodular(u)
         assert not css_decide(h(phi)).css

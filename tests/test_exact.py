@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,9 +9,11 @@ from gbsep.exact import (
     IntMatrix,
     IntPolynomial,
     Lattice,
+    RatMatrix,
     _aut_order_factors,
     hnf,
     image,
+    int_inverse_unimodular,
     kernel,
     mod_m_order,
     preimage,
@@ -19,6 +22,7 @@ from gbsep.exact import (
 )
 
 from conftest import C1, C2, C4
+from oracles import _fraction_inverse
 
 
 def random_matrix(rng, n, lo=-9, hi=9):
@@ -160,6 +164,85 @@ def test_cayley_hamilton_random():
         n = rng.randint(1, 4)
         m = random_matrix(rng, n)
         assert m.charpoly().at_matrix(m) == IntMatrix.zeros(n, n)
+
+
+# ---------------------------------------------------------------------------
+# inverses
+
+
+def _with_zero_pivots(rng, rows):
+    """Zero the leading entries of the first rows, so elimination must swap."""
+    k = rng.randint(0, len(rows) - 1)
+    return [[0] * min(i + 1, k) + r[min(i + 1, k):] if i < k else r for i, r in enumerate(rows)]
+
+
+def test_inverse_matches_fraction_gauss_jordan():
+    rng = random.Random(5)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        num = IntMatrix(_with_zero_pivots(rng, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]))
+        den = rng.randint(1, 6)
+        m = RatMatrix(num, den)
+        try:
+            expected = _fraction_inverse(tuple(tuple(Fraction(x, m.den) for x in r) for r in m.num.rows))
+        except ZeroDivisionError:
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+            continue
+        inv = m.inverse()
+        assert [[Fraction(x, inv.den) for x in r] for r in inv.num.rows] == [list(r) for r in expected]
+        assert inv == RatMatrix(inv.num, inv.den)  # already in lowest terms
+        assert m @ inv == RatMatrix.identity(n)
+    assert singular > 5
+
+
+def test_int_inverse_unimodular_matches_fraction_gauss_jordan():
+    rng = random.Random(6)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rng.shuffle(rows)  # a permutation: zero leading pivots
+        for _ in range(2 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                c = rng.randint(-3, 3)
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            else:
+                rows[i] = [-x for x in rows[i]]
+        u = IntMatrix(rows)
+        expected = _fraction_inverse(tuple(tuple(Fraction(x) for x in r) for r in rows))
+        assert int_inverse_unimodular(u).rows == tuple(tuple(int(x) for x in r) for r in expected)
+    with pytest.raises(ValueError):
+        int_inverse_unimodular(IntMatrix([[0, 2], [1, 0]]))
+    with pytest.raises(ZeroDivisionError):
+        int_inverse_unimodular(IntMatrix([[0, 2], [0, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# differential checks against sympy
+
+
+def test_charpoly_snf_hnf_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
+
+    x = sympy.Symbol("x")
+    rng = random.Random(7)
+    for n in range(1, 9):
+        for _ in range(6):
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            if n > 2 and rng.random() < 0.3:
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]  # rank deficient
+            m, sm = IntMatrix(rows), sympy.Matrix(rows)
+            assert m.charpoly().coeffs == tuple(int(c) for c in reversed(sm.charpoly(x).all_coeffs()))
+            s, _, _ = snf(m)
+            expected = smith_normal_form(sm, domain=sympy.ZZ)
+            assert [s.rows[i][i] for i in range(n)] == [abs(int(expected[i, i])) for i in range(n)]
+            # same column lattice: sympy's canonical form of H equals that of M
+            h, _ = hnf(m)
+            assert hermite_normal_form(sympy.Matrix(h.rows)) == hermite_normal_form(sm)
 
 
 # ---------------------------------------------------------------------------

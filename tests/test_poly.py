@@ -179,6 +179,29 @@ def test_squarefree_decomposition():
     assert sorted(m for _, m in parts) == [1, 2, 3]
 
 
+def test_squarefree_decomposition_matches_sympy():
+    """Random products, some with repeated factors, and (x - a)(x - a - P)
+    with P = 2^31 - 1, squarefree over Q but not modulo P: both the modular
+    squarefree test and Yun's algorithm run."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(31)
+    cases = []
+    for _ in range(60):
+        f = poly(1)
+        for _ in range(rng.randint(1, 4)):
+            g = IntPolynomial([rng.randint(-20, 20) for _ in range(rng.randint(1, 3))] + [1])
+            f = f * g ** rng.choice((1, 1, 2, 3))
+        cases.append(f)
+    for _ in range(20):
+        a = rng.randint(-10**6, 10**6)
+        cases.append(poly(-a, 1) * poly(-a - (2**31 - 1), 1) * poly(rng.randint(1, 9), 0, 1) ** rng.randint(1, 2))
+    for f in cases:
+        _, expected = sympy.sqf_list(sympy.Poly(list(reversed(f.coeffs)), x))
+        assert sorted((g.coeffs, m) for g, m in squarefree_decomposition(f)) == sorted(
+            (tuple(int(c) for c in reversed(g.all_coeffs())), m) for g, m in expected), f.coeffs
+
+
 def test_factor_ordering_deterministic():
     f = poly(2, 1) * poly(1, 1) * poly(1, 1, 1)
     fa = factor_over_Q(f)
