@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gbsep.cli import main
+from gbsep.pipeline import Report
 
 
 def run(argv):
@@ -141,8 +142,6 @@ def test_analyze_strict_exits_1_on_unknown(tmp_path):
 
 
 def test_internal_failure_exits_4(monkeypatch):
-    from gbsep.pipeline import Report
-
     monkeypatch.setattr(Report, "consistent", lambda self: False)
     g1 = str(Path(__file__).resolve().parent / "golden" / "inputs" / "g1.json")
     code, out, err = run(["analyze", g1])

@@ -171,9 +171,10 @@ def test_cayley_hamilton_random():
 
 
 def _with_zero_pivots(rng, rows):
-    """Zero the leading entries of the first rows, so elimination must swap."""
+    """Zero the first i + 1 entries of row i for the first k rows, so
+    elimination must swap rows."""
     k = rng.randint(0, len(rows) - 1)
-    return [[0] * min(i + 1, k) + r[min(i + 1, k):] if i < k else r for i, r in enumerate(rows)]
+    return [[0] * (i + 1) + r[i + 1:] if i < k else r for i, r in enumerate(rows)]
 
 
 def test_inverse_matches_fraction_gauss_jordan():
